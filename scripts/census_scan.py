@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Sweep the chain census over a list of x checkpoints and emit CSV.
 
+``--workers`` threads only the z-rough sieve behind ``count_rough``; the
+per-n predicate loop always runs in one thread.
+
 Example:
     python scripts/census_scan.py --xs 100 1000 10000 100000 --workers 2
     python scripts/census_scan.py --xs 1000000 --out census.csv
@@ -17,10 +20,13 @@ from mondrian.numtheory import build_factor_table
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--xs", type=int, nargs="+", required=True,
                         help="census checkpoints (each >= 16)")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=int, default=1,
+                        help="threads for the z-rough sieve")
     parser.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     args = parser.parse_args()
 

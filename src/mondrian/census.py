@@ -18,7 +18,6 @@ x >> z regime are testable claims.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -26,10 +25,8 @@ from typing import IO, Iterable
 from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError
 from .numtheory import (
     FactorTable,
-    _divisor_tau_pairs,
+    _chain_predicates,
     _factorize,
-    _g,
-    _tau_sieve,
     _tau_threshold,
     census_excess_tau,
     compute_z,
@@ -60,8 +57,6 @@ CENSUS_CSV_HEADER = (
     "x,z,count_p1,count_p2,count_p3,count_rough_small_tau,"
     "count_rough,count_excess_tau,theorem_rhs,mertens_rhs"
 )
-
-_CENSUS_BLOCK = 20_000  # fixed block size so partitioning never depends on workers
 
 
 @dataclass(frozen=True)
@@ -105,64 +100,12 @@ class TheoremReport:
         return out
 
 
-# ---------------------------------------------------------------------------
-# per-n predicate evaluation
-# ---------------------------------------------------------------------------
-
-_CTX: dict | None = None  # read by forked census workers
-
-
-def _has_witness_full_scan(factors: list[tuple[int, int]], n2: int) -> bool:
-    return any(
-        d * tau_d >= n2
-        for d, tau_d in _divisor_tau_pairs(factors, square=True)
-        if d != n2
-    )
-
-
-def _census_block(bounds: tuple[int, int]) -> tuple[int, int, int, int]:
-    """(count_p1, count_p2, count_p3, count_rough_small_tau) over [lo, hi]."""
-    ctx = _CTX
-    spf = ctx["spf"]
-    taus = ctx["tau"]
-    z = ctx["z"]
-    threshold = ctx["threshold"]
-    c1 = c2 = c3 = c_rst = 0
-    lo, hi = bounds
-    for n in range(lo, hi + 1):
-        factors = _factorize(n, spf)
-        p_min, e_min = factors[0]
-        tau_n = int(taus[n])
-        tau_n2 = math.prod(2 * e + 1 for _, e in factors)
-        n2 = n * n
-        d_max = n2 // p_min
-        p2 = d_max * tau_n2 < n2
-        p3 = d_max * tau_n * tau_n < n2
-        if p2:
-            # tau(d) < tau(n^2) for proper d, so p2 settles p1 outright
-            p1 = True
-        else:
-            tau_d_max = (tau_n2 // (2 * e_min + 1)) * (2 * e_min)
-            if d_max * tau_d_max >= n2:
-                p1 = False
-            else:
-                p1 = not _has_witness_full_scan(factors, n2)
-        rough_small = p_min > z and tau_n <= threshold
-        if (rough_small and not p3) or (p3 and not p2) or (p2 and not p1):
-            raise InternalConsistencyError(f"predicate chain violated at n={n}")
-        c1 += p1
-        c2 += p2
-        c3 += p3
-        c_rst += rough_small
-    return c1, c2, c3, c_rst
-
-
 def run_chain_census(x: int, t: FactorTable, *, workers: int = 1) -> CensusRecord:
     """Evaluate every chain predicate over [3, x] and package exact counts.
 
-    The range is split into fixed-size blocks; with ``workers > 1`` blocks run
-    in forked worker processes.  Partial counts are summed in block order, so
-    the record is identical for every worker count.
+    The per-n predicates run in one serial loop; ``workers`` threads only the
+    z-rough sieve behind ``count_rough``.  The record is identical for every
+    worker count.
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
@@ -171,47 +114,38 @@ def run_chain_census(x: int, t: FactorTable, *, workers: int = 1) -> CensusRecor
     z = compute_z(x)
     threshold = _tau_threshold(x)
 
-    global _CTX
-    _CTX = {
-        "spf": t.spf.tolist(),
-        "tau": _tau_sieve(x),
-        "z": z,
-        "threshold": threshold,
-    }
-    blocks = [(lo, min(lo + _CENSUS_BLOCK - 1, x)) for lo in range(3, x + 1, _CENSUS_BLOCK)]
-    try:
-        if workers > 1 and len(blocks) > 1 and hasattr(os, "fork"):
-            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
-                parts = pool.map(_census_block, blocks)
-        else:
-            parts = [_census_block(b) for b in blocks]
-    finally:
-        _CTX = None
+    spf = t.spf.tolist()
+    count_p1 = count_p2 = count_p3 = count_rst = 0
+    for n in range(3, x + 1):
+        factors = _factorize(n, spf)
+        p1, p2, p3 = _chain_predicates(n, factors)
+        rough_small = factors[0][0] > z and math.prod(e + 1 for _, e in factors) <= threshold
+        if (rough_small and not p3) or (p3 and not p2) or (p2 and not p1):
+            raise InternalConsistencyError(f"predicate chain violated at n={n}")
+        count_p1 += p1
+        count_p2 += p2
+        count_p3 += p3
+        count_rst += rough_small
+    del spf  # free the list copy before the sieves below allocate theirs
 
-    count_p1 = sum(p[0] for p in parts)
-    count_p2 = sum(p[1] for p in parts)
-    count_p3 = sum(p[2] for p in parts)
-    count_rst = sum(p[3] for p in parts)
     if not count_rst <= count_p3 <= count_p2 <= count_p1:
         raise InternalConsistencyError(
             f"count chain violated at x={x}: "
             f"{count_rst}, {count_p3}, {count_p2}, {count_p1}"
         )
-    # 1 is always z-rough and 2 is z-rough only for z < 2; the census starts at 3
-    below_three = 1 + (1 if z < 2 else 0)
-    record = CensusRecord(
+    return CensusRecord(
         x=x,
         z=z,
         count_p1=count_p1,
         count_p2=count_p2,
         count_p3=count_p3,
         count_rough_small_tau=count_rst,
-        count_rough=rough_count(x, z, workers=workers) - below_three,
+        # rough_count includes 1; 2 is never z-rough because x >= 16 gives z >= 7
+        count_rough=rough_count(x, z, workers=workers) - 1,
         count_excess_tau=census_excess_tau(x, t),
         theorem_rhs=math.exp(-EULER_GAMMA) / 2 * x / math.log(math.log(x)),
         mertens_rhs=math.exp(-EULER_GAMMA) * x / math.log(z),
     )
-    return record
 
 
 _REPORT_NOTES = (

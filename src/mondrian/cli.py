@@ -77,7 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="output_format")
         p.add_argument("--out", type=Path, default=None, dest="output_path",
                        help="write results to PATH instead of stdout")
-        p.add_argument("--workers", type=int, default=None, dest="worker_count")
+        p.add_argument("--workers", type=int, default=None, dest="worker_count",
+                       help="threads for the z-rough sieve (rough, census, chain); "
+                            "ignored by solve, perfect and verify-oeis")
         return p
 
     p = add("solve", "minimum defect M(n) with a tiling certificate")

@@ -13,6 +13,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -52,15 +53,25 @@ class FactorTable:
     spf: np.ndarray
 
 
+def _primes_upto(m: int) -> list[int]:
+    if m < 2:
+        return []
+    sieve = np.ones(m + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(m) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
 def build_factor_table(limit: int) -> FactorTable:
     """Sieve smallest prime factors up to ``limit`` (inclusive)."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
     spf = np.zeros(limit + 1, dtype=np.uint32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            window = spf[p * p :: p]
-            window[window == 0] = p
+    for p in _primes_upto(math.isqrt(limit)):
+        window = spf[p * p :: p]
+        window[window == 0] = p
     # whatever is still unmarked is prime
     primes = np.flatnonzero(spf[2:] == 0) + 2
     spf[primes] = primes
@@ -141,6 +152,35 @@ class WitnessReport:
     p3: bool
 
 
+def _witnesses(n: int, factors: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+    """(d, tau(d)) for each proper divisor d of n² with d·tau(d) >= n², ascending d."""
+    n2 = n * n
+    for d, tau_d in sorted(_divisor_tau_pairs(factors, square=True)):
+        if d != n2 and d * tau_d >= n2:
+            yield d, tau_d
+
+
+def _chain_predicates(n: int, factors: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
+    """(p1, p2, p3) of ``WitnessReport`` for n >= 2, scanning divisors only when needed."""
+    n2 = n * n
+    p_min, e_min = factors[0]
+    tau_n = tau_n2 = 1
+    for _, e in factors:
+        tau_n *= e + 1
+        tau_n2 *= 2 * e + 1
+    # both reductions are monotone in d, so only the largest proper divisor matters
+    d_max = n2 // p_min
+    p2 = d_max * tau_n2 < n2
+    p3 = d_max * tau_n * tau_n < n2
+    if p2:
+        # tau(d) < tau(n²) for proper d, so p2 settles p1 outright
+        return True, True, p3
+    # d_max = n²/p_min has p_min's exponent lowered by one; a witness there refutes p1
+    if d_max * (tau_n2 // (2 * e_min + 1) * 2 * e_min) >= n2:
+        return False, False, p3
+    return next(_witnesses(n, factors), None) is None, False, p3
+
+
 def witness_report(n: int, t: FactorTable) -> WitnessReport:
     """Search the proper divisors of n² for the smallest filter witness."""
     _check_range(n, t, minimum=3)
@@ -149,23 +189,9 @@ def witness_report(n: int, t: FactorTable) -> WitnessReport:
             f"n={n} exceeds the 64-bit overflow guard ({WITNESS_SAFE_LIMIT}) for d*tau(d)"
         )
     factors = _factorize(n, t.spf)
-    n2 = n * n
-    p_min = factors[0][0]
-    tau_n = math.prod(e + 1 for _, e in factors)
-    tau_n2 = math.prod(2 * e + 1 for _, e in factors)
-    # both predicates are monotone in d, so only the largest proper divisor matters
-    d_max = n2 // p_min
-    p2 = d_max * tau_n2 < n2
-    p3 = d_max * tau_n * tau_n < n2
-
-    witness = None
-    for d, tau_d in sorted(_divisor_tau_pairs(factors, square=True)):
-        if d == n2:
-            continue
-        if d * tau_d >= n2:
-            witness = d
-            break
-    return WitnessReport(n=n, witness=witness, p1=witness is None, p2=p2, p3=p3)
+    p1, p2, p3 = _chain_predicates(n, factors)
+    witness = None if p1 else next(_witnesses(n, factors))[0]
+    return WitnessReport(n=n, witness=witness, p1=p1, p2=p2, p3=p3)
 
 
 def is_rough(n: int, z: int, t: FactorTable) -> bool:
@@ -174,17 +200,6 @@ def is_rough(n: int, z: int, t: FactorTable) -> bool:
     if n == 1:
         return True
     return int(t.spf[n]) > z
-
-
-def _primes_upto(m: int) -> list[int]:
-    if m < 2:
-        return []
-    sieve = np.ones(m + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(m) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
 
 
 def _rough_segment(lo: int, hi: int, primes: list[int]) -> int:

@@ -31,7 +31,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError
-from .numtheory import FactorTable, _divisor_tau_pairs, _factorize, witness_report
+from .numtheory import FactorTable, _factorize, _witnesses, witness_report
 
 __all__ = [
     "Rect",
@@ -165,34 +165,16 @@ def enumerate_piece_sets(n: int, lo: int, hi: int) -> Iterator[tuple[Rect, ...]]
     """
     if not 1 <= lo <= hi <= n * n:
         raise ValueError(f"need 1 <= lo <= hi <= n^2, got lo={lo}, hi={hi}, n={n}")
-    cands = _area_candidates(n, lo, hi)
-    areas = [r.area for r in cands]
-    suffix = [0] * (len(cands) + 1)
-    for i in range(len(cands) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + areas[i]
-    chosen: list[Rect] = []
-
-    def rec(start: int, remaining: int) -> Iterator[tuple[Rect, ...]]:
-        if remaining == 0:
-            yield tuple(chosen)
-            return
-        for j in range(start, len(cands)):
-            if areas[j] > remaining:
-                continue
-            if suffix[j] < remaining:
-                return
-            chosen.append(cands[j])
-            yield from rec(j + 1, remaining - areas[j])
-            chosen.pop()
-
-    yield from rec(0, n * n)
+    yield from _piece_sets(n, lo, hi, exact_spread=False)
 
 
 def _piece_sets_with_spread(n: int, lo: int, hi: int) -> Iterator[tuple[Rect, ...]]:
     """Like enumerate_piece_sets but keeping only sets whose area range is exactly [lo, hi]."""
+    return _piece_sets(n, lo, hi, exact_spread=True)
+
+
+def _piece_sets(n: int, lo: int, hi: int, exact_spread: bool) -> Iterator[tuple[Rect, ...]]:
     cands = _area_candidates(n, lo, hi)
-    if not cands or cands[0].area != hi or cands[-1].area != lo:
-        return
     areas = [r.area for r in cands]
     suffix = [0] * (len(cands) + 1)
     for i in range(len(cands) - 1, -1, -1):
@@ -218,7 +200,8 @@ def _piece_sets_with_spread(n: int, lo: int, hi: int) -> Iterator[tuple[Rect, ..
             yield from rec(j + 1, remaining - a, has_hi or a == hi, has_lo or a == lo)
             chosen.pop()
 
-    yield from rec(0, n * n, False, False)
+    # without an exact spread both endpoint flags start out satisfied
+    yield from rec(0, n * n, not exact_spread, not exact_spread)
 
 
 def _base_mask(n: int, width: int, height: int) -> int:
@@ -429,16 +412,12 @@ def _perfect_candidates(
     with d*tau(d) >= n², and needs n²/d distinct congruence classes of area d
     fitting the square, which caps the piece count at ceil(tau(d)/2).
     """
-    factors = _factorize(n, t.spf)
     n2 = n * n
-    for d, tau_d in sorted(_divisor_tau_pairs(factors, square=True)):
-        if d == n2 or d * tau_d < n2:
-            continue
+    for d, _ in _witnesses(n, _factorize(n, t.spf)):
         s = n2 // d
         rects = rects_with_area(d, n)
-        if s > len(rects):
-            continue
-        yield d, s, rects
+        if s <= len(rects):
+            yield d, s, rects
 
 
 def check_perfect(

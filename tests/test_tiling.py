@@ -19,9 +19,10 @@ from mondrian.tiling import (
     tiling_to_json,
     verify_tiling,
     _perfect_candidates,
+    _piece_sets_with_spread,
 )
 from mondrian.numtheory import tau
-from oracles import naive_min_defect, naive_tiles
+from oracles import divisors_of_square, naive_min_defect, naive_tau, naive_tiles
 
 
 def R(a, b):
@@ -108,6 +109,17 @@ class TestEnumeratePieceSets:
         first = list(enumerate_piece_sets(5, 2, 12))
         second = list(enumerate_piece_sets(5, 2, 12))
         assert first == second
+
+    def test_exact_spread_is_the_filtered_plain_enumeration(self):
+        for n in range(1, 7):
+            for lo in range(1, n * n + 1):
+                for hi in range(lo, min(lo + 2 * n, n * n) + 1):
+                    expected = [
+                        s
+                        for s in enumerate_piece_sets(n, lo, hi)
+                        if s[0].area == hi and s[-1].area == lo
+                    ]
+                    assert list(_piece_sets_with_spread(n, lo, hi)) == expected, (n, lo, hi)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
@@ -328,6 +340,19 @@ class TestCheckPerfect:
                 assert d * s == n * n
                 tau_d = tau(d, table)
                 assert s <= len(rects) <= (tau_d + 1) // 2 <= tau_d
+
+    def test_candidates_are_every_fitting_witness(self, table):
+        # a skipped candidate would turn into a silently wrong Exhausted verdict
+        for n in range(3, 121):
+            n2 = n * n
+            expected = [
+                d
+                for d in divisors_of_square(n)
+                if d != n2
+                and d * naive_tau(d) >= n2
+                and len(rects_with_area(d, n)) >= n2 / d
+            ]
+            assert [d for d, _, _ in _perfect_candidates(n, table)] == expected, n
 
     def test_small_range_never_perfect(self, table):
         for n in range(3, 15):
