@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
 """Sweep the chain census over a list of x checkpoints and emit CSV.
 
-``--workers`` threads only the z-rough sieve behind ``count_rough``; the
-per-n predicate loop always runs in one thread.
+Each checkpoint is a full census run in one thread; timings go to stderr.
 
 Example:
-    python scripts/census_scan.py --xs 100 1000 10000 100000 --workers 2
+    python scripts/census_scan.py --xs 100 1000 10000 100000
     python scripts/census_scan.py --xs 1000000 --out census.csv
 """
 
@@ -25,8 +24,6 @@ def main() -> int:
     )
     parser.add_argument("--xs", type=int, nargs="+", required=True,
                         help="census checkpoints (each >= 16)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="threads for the z-rough sieve")
     parser.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     args = parser.parse_args()
 
@@ -34,7 +31,7 @@ def main() -> int:
     print(CENSUS_CSV_HEADER, file=args.out)
     for x in sorted(args.xs):
         start = time.monotonic()
-        record = run_chain_census(x, table, workers=args.workers)
+        record = run_chain_census(x, table)
         print(census_csv_row(record), file=args.out, flush=True)
         print(f"x={x}: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return 0

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError
 from .numtheory import (
@@ -100,12 +100,11 @@ class TheoremReport:
         return out
 
 
-def run_chain_census(x: int, t: FactorTable, *, workers: int = 1) -> CensusRecord:
+def run_chain_census(x: int, t: FactorTable) -> CensusRecord:
     """Evaluate every chain predicate over [3, x] and package exact counts.
 
-    The per-n predicates run in one serial loop; ``workers`` threads only the
-    z-rough sieve behind ``count_rough``.  The record is identical for every
-    worker count.
+    Everything runs in one thread: the per-n predicates in one serial loop,
+    then the z-rough and tau sieves over numpy arrays.
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
@@ -141,7 +140,7 @@ def run_chain_census(x: int, t: FactorTable, *, workers: int = 1) -> CensusRecor
         count_p3=count_p3,
         count_rough_small_tau=count_rst,
         # rough_count includes 1; 2 is never z-rough because x >= 16 gives z >= 7
-        count_rough=rough_count(x, z, workers=workers) - 1,
+        count_rough=rough_count(x, z) - 1,
         count_excess_tau=census_excess_tau(x, t),
         theorem_rhs=math.exp(-EULER_GAMMA) / 2 * x / math.log(math.log(x)),
         mertens_rhs=math.exp(-EULER_GAMMA) * x / math.log(z),
@@ -160,9 +159,9 @@ _REPORT_NOTES = (
 )
 
 
-def theorem_report(x: int, t: FactorTable, *, workers: int = 1) -> TheoremReport:
+def theorem_report(x: int, t: FactorTable) -> TheoremReport:
     """Exact census counts side by side with their asymptotic reference values."""
-    record = run_chain_census(x, t, workers=workers)
+    record = run_chain_census(x, t)
     density = float(mertens_product(record.z))
     product_reference = x * density
     return TheoremReport(
@@ -192,7 +191,7 @@ def census_csv_row(record: CensusRecord) -> str:
     )
 
 
-def census_json_dict(record: CensusRecord, notes: Iterable[str] = _REPORT_NOTES) -> dict:
+def census_json_dict(record: CensusRecord) -> dict:
     """JSON mirror of the CSV row plus a notes array."""
     return {
         "x": record.x,
@@ -205,7 +204,7 @@ def census_json_dict(record: CensusRecord, notes: Iterable[str] = _REPORT_NOTES)
         "count_excess_tau": record.count_excess_tau,
         "theorem_rhs": _sig6(record.theorem_rhs),
         "mertens_rhs": _sig6(record.mertens_rhs),
-        "notes": list(notes),
+        "notes": list(_REPORT_NOTES),
     }
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,7 +57,6 @@ class RunConfig:
     node_budget: int = DEFAULT_BUDGET
     output_format: str = "text"
     output_path: Path | None = None
-    worker_count: int = 1
     bfile: Path | None = None
 
 
@@ -77,9 +75,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="output_format")
         p.add_argument("--out", type=Path, default=None, dest="output_path",
                        help="write results to PATH instead of stdout")
-        p.add_argument("--workers", type=int, default=None, dest="worker_count",
-                       help="threads for the z-rough sieve (rough, census, chain); "
-                            "ignored by solve, perfect and verify-oeis")
+        p.add_argument("--workers", type=int, default=1,
+                       help="no effect, accepted for compatibility: every command "
+                            "runs in one thread")
         return p
 
     p = add("solve", "minimum defect M(n) with a tiling certificate")
@@ -111,18 +109,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     parser = _build_parser()
     ns = parser.parse_args(argv)
 
-    workers = ns.worker_count
-    if workers is None:
-        env = os.environ.get("MONDRIAN_THREADS")
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError:
-                parser.error(f"MONDRIAN_THREADS must be an integer, got {env!r}")
-        else:
-            workers = 1
-    if workers < 1:
-        parser.error(f"--workers must be >= 1, got {workers}")
+    if ns.workers < 1:
+        parser.error(f"--workers must be >= 1, got {ns.workers}")
     if ns.node_budget < 1:
         parser.error(f"--budget must be >= 1, got {ns.node_budget}")
     if ns.output_format not in _FORMATS_BY_COMMAND[ns.command]:
@@ -138,7 +126,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         node_budget=ns.node_budget,
         output_format=ns.output_format,
         output_path=ns.output_path,
-        worker_count=workers,
         bfile=getattr(ns, "bfile", None),
     )
 
@@ -206,7 +193,7 @@ def _run_perfect(config: RunConfig) -> str:
 
 def _run_census(config: RunConfig) -> str:
     table = build_factor_table(config.x)
-    record = run_chain_census(config.x, table, workers=config.worker_count)
+    record = run_chain_census(config.x, table)
     if config.output_format == "csv":
         return CENSUS_CSV_HEADER + "\n" + census_csv_row(record) + "\n"
     if config.output_format == "json":
@@ -218,7 +205,7 @@ def _run_census(config: RunConfig) -> str:
 
 def _run_rough(config: RunConfig) -> str:
     z = config.z if config.z is not None else compute_z(config.x)
-    count = rough_count(config.x, z, workers=config.worker_count)
+    count = rough_count(config.x, z)
     if config.output_format == "json":
         return json.dumps({"x": config.x, "z": z, "count_rough": count}) + "\n"
     if config.output_format == "csv":
@@ -228,7 +215,7 @@ def _run_rough(config: RunConfig) -> str:
 
 def _run_chain(config: RunConfig) -> str:
     table = build_factor_table(config.x)
-    report = theorem_report(config.x, table, workers=config.worker_count)
+    report = theorem_report(config.x, table)
     if config.output_format == "json":
         return json.dumps(report.as_dict()) + "\n"
     r = report.record

@@ -10,7 +10,6 @@ reference quantities (thresholds, Mertens-type densities).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -39,6 +38,9 @@ WITNESS_SAFE_LIMIT = 10**6
 
 _E_TO_E = math.exp(math.e)
 
+# integers per rough_count sieve segment: 1 MiB of bools bounds its memory
+_SEGMENT = 1 << 20
+
 
 @dataclass(frozen=True)
 class FactorTable:
@@ -46,7 +48,7 @@ class FactorTable:
 
     ``spf[m]`` is the smallest prime dividing m (and ``spf[p] == p`` exactly
     for primes).  Entries 0 and 1 are zero sentinels.  The array is marked
-    read-only, so a table can be shared freely across threads and workers.
+    read-only, so one table can be shared by every census and check.
     """
 
     limit: int
@@ -212,20 +214,17 @@ def _rough_segment(lo: int, hi: int, primes: list[int]) -> int:
     return int(alive.sum())
 
 
-def rough_count(x: int, z: int, *, workers: int = 1, segment_size: int = 1 << 20) -> int:
+def rough_count(x: int, z: int) -> int:
     """Exact |{n <= x : n is z-rough}| by segmented sieving, with 1 included."""
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
     primes = _primes_upto(min(z, x))
-    segments = [(lo, min(lo + segment_size - 1, x)) for lo in range(1, x + 1, segment_size)]
-    if workers > 1 and len(segments) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(lambda seg: _rough_segment(*seg, primes), segments))
-    else:
-        counts = [_rough_segment(lo, hi, primes) for lo, hi in segments]
-    return sum(counts)
+    return sum(
+        _rough_segment(lo, min(lo + _SEGMENT - 1, x), primes)
+        for lo in range(1, x + 1, _SEGMENT)
+    )
 
 
 def mertens_product(z: int) -> Fraction:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InternalConsistencyError
 from .numtheory import FactorTable, _factorize, _witnesses, witness_report
 
 __all__ = [
@@ -335,6 +335,16 @@ def verify_tiling(t: Tiling) -> VerificationReport:
     return VerificationReport(True, defect, min_area, max_area, None)
 
 
+def _verified(t: Tiling) -> Tiling:
+    """``t`` unchanged if ``verify_tiling`` accepts it; a rejected certificate is a kernel bug."""
+    report = verify_tiling(t)
+    if not report.valid:
+        raise InternalConsistencyError(
+            f"search returned a certificate for n={t.n} that fails verification ({report.reason})"
+        )
+    return t
+
+
 def scale_tiling(t: Tiling, k: int) -> Tiling:
     """Blow a valid tiling up by an integer factor k; defect scales by k²."""
     if k < 1:
@@ -356,8 +366,8 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     windows [a, a+w] with a descending; a window only enumerates piece sets
     whose smallest and largest areas hit both endpoints, so every candidate
     set is searched exactly once, at the w equal to its spread.  The first w
-    admitting a tiling is therefore the minimum, and the certificate returned
-    with it verifies at that defect.
+    admitting a tiling is therefore the minimum.  Its certificate is checked
+    by ``verify_tiling`` first; a rejected one raises ``InternalConsistencyError``.
 
     Raises ``BudgetExceededError`` once ``node_budget`` placement attempts
     have been spent; the error carries the proven lower bound (the defect
@@ -399,7 +409,7 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
                     ) from None
                 spent += engine.nodes
                 if found is not None:
-                    return w, found
+                    return w, _verified(found)
     raise AssertionError("unreachable: the two-strip tiling bounds the defect")
 
 
@@ -428,7 +438,8 @@ def check_perfect(
     If no proper divisor of n² satisfies d*tau(d) >= n², no such tiling can
     exist and the search is skipped entirely (FilterExcluded).  Otherwise
     every surviving divisor's piece-set combinations are tiled exhaustively:
-    PerfectFound with a certificate, or Exhausted.
+    PerfectFound with a certificate that has passed ``verify_tiling``, or
+    Exhausted.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -456,7 +467,7 @@ def check_perfect(
             spent += engine.nodes
             if found is not None:
                 return PerfectCheckOutcome(
-                    n, PerfectVerdict.PERFECT_FOUND, report.witness, found, spent
+                    n, PerfectVerdict.PERFECT_FOUND, report.witness, _verified(found), spent
                 )
     return PerfectCheckOutcome(n, PerfectVerdict.EXHAUSTED, report.witness, None, spent)
 
@@ -481,12 +492,13 @@ def tiling_from_json(source: str | bytes) -> Tiling:
         n = obj["n"]
         defect = obj["defect"]
         pieces = obj["pieces"]
-        if not isinstance(n, int) or not isinstance(defect, int):
+        # bool is a subclass of int, so JSON true/false must be refused by exact type
+        if type(n) is not int or type(defect) is not int:
             raise TypeError
         placements = []
         for item in pieces:
             w, h, x, y, rot = item["w"], item["h"], item["x"], item["y"], item["rot"]
-            if not all(isinstance(v, int) for v in (w, h, x, y)) or not isinstance(rot, bool):
+            if not all(type(v) is int for v in (w, h, x, y)) or not isinstance(rot, bool):
                 raise TypeError
             placements.append(Placement(Rect(w, h), x, y, rot))
     except (KeyError, TypeError) as exc:

@@ -10,11 +10,6 @@ DATA_DIR = ROOT / "data"
 
 
 @pytest.fixture(autouse=True)
-def _no_inherited_thread_env(monkeypatch):
-    monkeypatch.delenv("MONDRIAN_THREADS", raising=False)
-
-
-@pytest.fixture(autouse=True)
 def _child_interpreters_find_src(monkeypatch):
     # pyproject's pytest pythonpath reaches this process only; CLI tests start
     # `python -m mondrian` children, which read the package path from the environment

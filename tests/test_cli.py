@@ -8,26 +8,14 @@ from mondrian.cli import RunConfig, dispatch, main, parse_args
 from mondrian.tiling import tiling_from_json, verify_tiling
 
 
-def run_cli(args, env_extra=None):
-    import os
-
-    env = dict(os.environ)
-    env.pop("MONDRIAN_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "mondrian", *args],
-        capture_output=True,
-        env=env,
-    )
+def run_cli(args):
+    return subprocess.run([sys.executable, "-m", "mondrian", *args], capture_output=True)
 
 
 class TestParseArgs:
     def test_solve_defaults(self):
         cfg = parse_args(["solve", "--n", "6"])
-        assert cfg == RunConfig(
-            command="solve", n=6, node_budget=10**8, output_format="text", worker_count=1
-        )
+        assert cfg == RunConfig(command="solve", n=6, node_budget=10**8, output_format="text")
 
     def test_census_csv(self):
         cfg = parse_args(["census", "--x", "1000000", "--format", "csv"])
@@ -73,18 +61,22 @@ class TestParseArgs:
         with pytest.raises(SystemExit):
             parse_args(["chain", "--x", "100", "--format", "csv"])
 
-    def test_env_workers(self, monkeypatch):
-        monkeypatch.setenv("MONDRIAN_THREADS", "3")
-        assert parse_args(["rough", "--x", "10"]).worker_count == 3
-
-    def test_flag_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("MONDRIAN_THREADS", "3")
-        assert parse_args(["rough", "--x", "10", "--workers", "2"]).worker_count == 2
-
-    def test_bad_env_workers(self, monkeypatch):
-        monkeypatch.setenv("MONDRIAN_THREADS", "many")
-        with pytest.raises(SystemExit):
-            parse_args(["rough", "--x", "10"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--n", "6"],
+            ["perfect", "--n", "6"],
+            ["census", "--x", "100"],
+            ["rough", "--x", "100"],
+            ["chain", "--x", "100"],
+            ["verify-oeis", "--bfile", "b", "--from", "3", "--to", "5"],
+        ],
+    )
+    def test_workers_validated_and_ignored(self, argv):
+        assert parse_args([*argv, "--workers", "4"]) == parse_args(argv)
+        with pytest.raises(SystemExit) as e:
+            parse_args([*argv, "--workers", "0"])
+        assert e.value.code == 2
 
 
 class TestDispatch:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mondrian import numtheory
 from mondrian.numtheory import (
     build_factor_table,
     census_excess_tau,
@@ -192,10 +193,11 @@ class TestRoughCount:
     def test_matches_brute_filter(self, x, z):
         assert rough_count(x, z) == sum(1 for n in range(1, x + 1) if naive_is_rough(n, z))
 
-    def test_partitioning_independence(self):
+    def test_partitioning_independence(self, monkeypatch):
         base = rough_count(10**5, 30)
-        assert rough_count(10**5, 30, segment_size=999) == base
-        assert rough_count(10**5, 30, workers=4, segment_size=7777) == base
+        for segment in (999, 7777):
+            monkeypatch.setattr(numtheory, "_SEGMENT", segment)
+            assert rough_count(10**5, 30) == base
 
     def test_ten_thousand_against_trial_division(self):
         for z in (7, 50, 211):

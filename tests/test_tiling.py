@@ -1,8 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mondrian.errors import BudgetExceededError
+from mondrian import tiling
+from mondrian.cli import main
+from mondrian.errors import BudgetExceededError, InternalConsistencyError
 from mondrian.tiling import (
     Placement,
     Rect,
@@ -176,6 +181,43 @@ class TestExactCoverTile:
     def test_budget_raises(self):
         with pytest.raises(BudgetExceededError):
             exact_cover_tile(6, list(enumerate_piece_sets(6, 4, 9))[0], node_budget=1)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_agrees_with_naive_search(self, data):
+        n = data.draw(st.integers(3, 7))
+        lo = data.draw(st.integers(1, n * n))
+        hi = data.draw(st.integers(lo, min(n * n, lo + 2 * n)))
+        sets = list(enumerate_piece_sets(n, lo, hi))
+        assume(sets)
+        pieces = data.draw(st.sampled_from(sets))
+        found = exact_cover_tile(n, pieces)
+        assert (found is not None) == naive_tiles(n, [(r.w, r.h) for r in pieces])
+        assert found is None or verify_tiling(found).valid
+
+
+class TestKernelVerdicts:
+    """Every piece set the solvers hand the cover kernel keeps its recorded verdict.
+
+    ``data/kernel_verdicts.json`` holds the sets ``solve_m`` tries for
+    n = 3..16 and the combinations ``check_perfect`` tries for n = 3..200,
+    each with the tileable flag the kernel gave it when recorded.  A pruning
+    bug that loses a tiling would raise M(n) silently.  Only 14 of the sets
+    tile, and a lost tiling often has a symmetric twin the kernel still
+    finds, so ``test_agrees_with_naive_search`` is the other half of the guard.
+    """
+
+    VERDICTS = json.loads((Path(__file__).parent / "data" / "kernel_verdicts.json").read_text())
+
+    @pytest.mark.parametrize("caller", ["solve_m", "check_perfect"])
+    def test_replay(self, caller):
+        changed = []
+        for n, sides, tileable in self.VERDICTS[caller]:
+            found = exact_cover_tile(n, [Rect(w, h) for w, h in sides])
+            if (found is not None) != tileable:
+                changed.append((n, sides, tileable))
+            assert found is None or verify_tiling(found).valid
+        assert not changed
 
 
 class TestVerifyTiling:
@@ -391,6 +433,48 @@ class TestCertificateJson:
             tiling_from_json('{"n": 3, "pieces": []}')
         with pytest.raises(ValueError):
             tiling_from_json('{"n": 3, "defect": 0, "pieces": [{"w": 1}]}')
+        with pytest.raises(ValueError):
+            tiling_from_json(
+                '{"n": true, "defect": 0, "pieces": '
+                '[{"w": true, "h": true, "x": false, "y": false, "rot": false}]}'
+            )
+        # one JSON boolean at a time, each equal to the valid integer it replaces
+        for field in ("n", "defect", "w", "h", "x", "y"):
+            obj = {"n": 1, "defect": 0, "pieces": [{"w": 1, "h": 1, "x": 0, "y": 0, "rot": False}]}
+            target = obj if field in obj else obj["pieces"][0]
+            target[field] = bool(target[field])
+            with pytest.raises(ValueError):
+                tiling_from_json(json.dumps(obj))
+
+
+class TestCertificatesAreVerified:
+    """A certificate the kernel returns must pass verify_tiling before anyone sees it."""
+
+    def test_solve_m(self, monkeypatch, capsys):
+        search = tiling._CoverSearch.search
+
+        def drops_a_placement(engine):
+            found = search(engine)
+            if found is None:
+                return None
+            return Tiling(found.n, found.placements[:-1], found.defect)
+
+        monkeypatch.setattr(tiling._CoverSearch, "search", drops_a_placement)
+        with pytest.raises(InternalConsistencyError):
+            solve_m(5)
+        for fmt in ("text", "json"):
+            assert main(["solve", "--n", "5", "--format", fmt]) == 3
+            assert capsys.readouterr().out == ""
+
+    def test_check_perfect(self, monkeypatch, table, capsys):
+        def claims_every_set(engine):
+            return Tiling(engine.n, tuple(Placement(r, 0, 0) for r in engine.pieces), 0)
+
+        monkeypatch.setattr(tiling._CoverSearch, "search", claims_every_set)
+        with pytest.raises(InternalConsistencyError):
+            check_perfect(12, table)  # the smallest n whose candidates reach the kernel
+        assert main(["perfect", "--n", "12"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestAgainstOracleTilings:
