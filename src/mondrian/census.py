@@ -22,13 +22,17 @@ import os
 from dataclasses import dataclass
 from typing import IO
 
+import numpy as np
+
 from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError
 from .numtheory import (
     FactorTable,
-    _chain_predicates,
+    _chain_tests,
+    _divisor_blocks,
     _factorize,
     _tau_threshold,
-    census_excess_tau,
+    _witnesses,
+    census_excess_tau,  # noqa: F401  # perfbench/spans.py wraps this name
     compute_z,
     mertens_product,
     rough_count,
@@ -100,11 +104,28 @@ class TheoremReport:
         return out
 
 
+def _block_predicates(
+    start: int, spf: np.ndarray, e: np.ndarray, tau_n: np.ndarray, tau_n2: np.ndarray, t: FactorTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p1, p2, p3) arrays for the block of n from ``start`` that ``_divisor_blocks`` gave.
+
+    p2 settles p1 and a witness at d_max refutes it; only the rest, about
+    2 % of n, need the full divisor scan.
+    """
+    p2, p3, refuted = _chain_tests(spf, e, tau_n, tau_n2)
+    p1 = p2.copy()
+    for i in np.flatnonzero(~(p2 | refuted)).tolist():
+        n = start + i
+        p1[i] = next(_witnesses(n, _factorize(n, t.spf)), None) is None
+    return p1, p2, p3
+
+
 def run_chain_census(x: int, t: FactorTable) -> CensusRecord:
     """Evaluate every chain predicate over [3, x] and package exact counts.
 
-    Everything runs in one thread: the per-n predicates in one serial loop,
-    then the z-rough and tau sieves over numpy arrays.
+    Everything runs in one thread, block by block: one divisor sieve gives
+    spf, tau(n) and tau(n²) for a block of n, the predicates and counts come
+    from those arrays, and only the residue n get a per-n divisor scan.
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
@@ -113,19 +134,20 @@ def run_chain_census(x: int, t: FactorTable) -> CensusRecord:
     z = compute_z(x)
     threshold = _tau_threshold(x)
 
-    spf = t.spf.tolist()
-    count_p1 = count_p2 = count_p3 = count_rst = 0
-    for n in range(3, x + 1):
-        factors = _factorize(n, spf)
-        p1, p2, p3 = _chain_predicates(n, factors)
-        rough_small = factors[0][0] > z and math.prod(e + 1 for _, e in factors) <= threshold
-        if (rough_small and not p3) or (p3 and not p2) or (p2 and not p1):
-            raise InternalConsistencyError(f"predicate chain violated at n={n}")
-        count_p1 += p1
-        count_p2 += p2
-        count_p3 += p3
-        count_rst += rough_small
-    del spf  # free the list copy before the sieves below allocate theirs
+    count_p1 = count_p2 = count_p3 = count_rst = count_excess = 0
+    for start, spf, e, tau_n, tau_n2 in _divisor_blocks(3, x + 1, t):
+        p1, p2, p3 = _block_predicates(start, spf, e, tau_n, tau_n2, t)
+        rough_small = (spf > z) & (tau_n <= threshold)
+        broken = (rough_small & ~p3) | (p3 & ~p2) | (p2 & ~p1)
+        if broken.any():
+            raise InternalConsistencyError(
+                f"predicate chain violated at n={start + int(np.argmax(broken))}"
+            )
+        count_p1 += int(p1.sum())
+        count_p2 += int(p2.sum())
+        count_p3 += int(p3.sum())
+        count_rst += int(rough_small.sum())
+        count_excess += int((tau_n > threshold).sum())
 
     if not count_rst <= count_p3 <= count_p2 <= count_p1:
         raise InternalConsistencyError(
@@ -141,7 +163,7 @@ def run_chain_census(x: int, t: FactorTable) -> CensusRecord:
         count_rough_small_tau=count_rst,
         # rough_count includes 1; 2 is never z-rough because x >= 16 gives z >= 7
         count_rough=rough_count(x, z) - 1,
-        count_excess_tau=census_excess_tau(x, t),
+        count_excess_tau=count_excess,
         theorem_rhs=math.exp(-EULER_GAMMA) / 2 * x / math.log(math.log(x)),
         mertens_rhs=math.exp(-EULER_GAMMA) * x / math.log(z),
     )

@@ -10,6 +10,7 @@ reference quantities (thresholds, Mertens-type densities).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -40,6 +41,9 @@ _E_TO_E = math.exp(math.e)
 
 # integers per rough_count sieve segment: 1 MiB of bools bounds its memory
 _SEGMENT = 1 << 20
+
+# integers per divisor-sieve block: bounds its six int64 work arrays to 768 KiB
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -162,23 +166,34 @@ def _witnesses(n: int, factors: list[tuple[int, int]]) -> Iterator[tuple[int, in
             yield d, tau_d
 
 
+def _chain_tests(p_min, e_min, tau_n, tau_n2):
+    """(p2, p3, d_max is a witness) of n from spf(n), its exponent, tau(n) and tau(n²).
+
+    Both reductions are monotone in d, so only the largest proper divisor
+    d_max = n²/p_min of n² matters, and d_max·T < n² iff T < p_min.  d_max has
+    p_min's exponent 2e lowered by one, so tau(d_max) = tau(n²)·2e/(2e+1), and
+    d_max is a witness iff tau(d_max) >= p_min.  Works on ints and,
+    elementwise, on numpy integer arrays.
+    """
+    return (
+        tau_n2 < p_min,
+        tau_n * tau_n < p_min,
+        tau_n2 // (2 * e_min + 1) * (2 * e_min) >= p_min,
+    )
+
+
 def _chain_predicates(n: int, factors: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
     """(p1, p2, p3) of ``WitnessReport`` for n >= 2, scanning divisors only when needed."""
-    n2 = n * n
     p_min, e_min = factors[0]
     tau_n = tau_n2 = 1
     for _, e in factors:
         tau_n *= e + 1
         tau_n2 *= 2 * e + 1
-    # both reductions are monotone in d, so only the largest proper divisor matters
-    d_max = n2 // p_min
-    p2 = d_max * tau_n2 < n2
-    p3 = d_max * tau_n * tau_n < n2
+    p2, p3, refuted = _chain_tests(p_min, e_min, tau_n, tau_n2)
     if p2:
         # tau(d) < tau(n²) for proper d, so p2 settles p1 outright
         return True, True, p3
-    # d_max = n²/p_min has p_min's exponent lowered by one; a witness there refutes p1
-    if d_max * (tau_n2 // (2 * e_min + 1) * 2 * e_min) >= n2:
+    if refuted:
         return False, False, p3
     return next(_witnesses(n, factors), None) is None, False, p3
 
@@ -265,21 +280,73 @@ def tau_summatory(x: int) -> int:
     return 2 * sum(x // a for a in range(1, r + 1)) - r * r
 
 
-def _tau_sieve(x: int) -> np.ndarray:
-    """tau(n) for every n in [0, x] (index 0 unused), via divisor pairs."""
-    counts = np.zeros(x + 1, dtype=np.uint32)
-    for d in range(1, math.isqrt(x) + 1):
-        counts[d * d] += 1
-        counts[d * d + d :: d] += 2
-    return counts
+def _divisor_block(
+    lo: int, hi: int, primes: list[int], spf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(e, tau(n), tau(n²)) for each n in [lo, hi), e the exponent of ``spf[n - lo]`` in n.
+
+    Needs 2 <= lo and every prime up to isqrt(hi - 1) in ascending ``primes``.
+    Each prime crosses off its multiples, dividing itself out of an in-place
+    cofactor; whatever is left above 1 is one prime beyond the sieve.  A
+    prime of exponent 1 multiplies tau(n) by 2 and tau(n²) by 3, so those are
+    only counted, and the exponents a >= 2 are worked out on the multiples of
+    p² alone.
+    """
+    size = hi - lo
+    rest = np.arange(lo, hi, dtype=np.int64)
+    once = np.zeros(size, dtype=np.int64)  # sieved primes dividing n exactly once
+    tau_n = np.ones(size, dtype=np.int64)  # prod of a + 1 over the primes with a >= 2
+    tau_n2 = np.ones(size, dtype=np.int64)  # prod of 2a + 1 over the same primes
+    e = np.ones(size, dtype=np.int64)
+    owner = np.zeros(size, dtype=np.int64)  # the prime whose exponent e holds
+    for p in reversed(primes):  # descending, so the smallest prime with a >= 2 owns e
+        s = -lo % p
+        once[s::p] += 1
+        rest[s::p] //= p
+        q = p * p
+        s = -lo % q
+        if s < size:
+            # a - 2 = v_p(m) over the consecutive integers m = n / p²
+            m = (lo + s) // q
+            a = np.full(len(range(s, size, q)), 2, dtype=np.int64)
+            pk = p
+            while (j := -m % pk) < len(a):
+                a[j::pk] += 1
+                pk *= p
+            once[s::q] -= 1
+            rest[s::q] //= p ** (a - 1)
+            tau_n[s::q] *= a + 1
+            tau_n2[s::q] *= 2 * a + 1
+            e[s::q] = a
+            owner[s::q] = p
+    once += rest > 1
+    tau_n <<= once
+    tau_n2 *= 3**once
+    e[owner != spf] = 1
+    return e, tau_n, tau_n2
+
+
+def _divisor_blocks(
+    lo: int, hi: int, t: FactorTable
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """(start, spf, e, tau(n), tau(n²)) over blocks of ``_BLOCK`` integers covering [lo, hi)."""
+    primes = _primes_upto(math.isqrt(hi - 1))
+    for start in range(lo, hi, _BLOCK):
+        stop = min(start + _BLOCK, hi)
+        spf = t.spf[start:stop]
+        block_primes = primes[: bisect_right(primes, math.isqrt(stop - 1))]
+        yield start, spf, *_divisor_block(start, stop, block_primes, spf)
 
 
 def census_excess_tau(x: int, t: FactorTable) -> int:
-    """#{3 <= n <= x : tau(n) > g(x) ln(ln x) ln(x)}."""
+    """#{3 <= n <= x : tau(n) > g(x) ln(ln x) ln(x)}.
+
+    tau comes from ``_divisor_blocks``, the one tau sieve, which
+    ``run_chain_census`` counts the same figure from.
+    """
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     if x > t.limit:
         raise ValueError(f"x={x} exceeds table limit {t.limit}")
     threshold = _tau_threshold(x)
-    counts = _tau_sieve(x)
-    return int((counts[3 : x + 1] > threshold).sum())
+    return sum(int((tau_n > threshold).sum()) for *_, tau_n, _ in _divisor_blocks(3, x + 1, t))

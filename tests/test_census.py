@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mondrian import numtheory
 from mondrian.census import (
     CENSUS_CSV_HEADER,
     EULER_GAMMA,
     CensusRecord,
     OeisSeries,
+    _block_predicates,
     census_csv_row,
     census_json_dict,
     compare_oeis,
@@ -19,7 +21,15 @@ from mondrian.census import (
     theorem_report,
 )
 from mondrian.errors import BFileParseError
-from mondrian.numtheory import compute_z, _tau_threshold
+from mondrian.numtheory import (
+    _factorize,
+    _tau_threshold,
+    build_factor_table,
+    compute_z,
+    tau,
+    tau_of_square,
+    witness_report,
+)
 from oracles import (
     naive_is_rough,
     naive_predicates,
@@ -90,8 +100,64 @@ class TestRunChainCensus:
     def test_chain_to_one_million(self, table):
         r = run_chain_census(10**6, table)
         assert r.count_rough_small_tau <= r.count_p3 <= r.count_p2 <= r.count_p1
+        assert (r.z, r.count_p1, r.count_p2, r.count_p3) == (1315, 217293, 197074, 171946)
+        assert r.count_rough_small_tau == r.count_rough == 78284
+        assert r.count_excess_tau == 60540
         # e^-gamma * 1e6 / ln z to three significant digits
         assert r.mertens_rhs == pytest.approx(7.82e4, rel=5e-3)
+
+    def test_record_at_two_million(self):
+        r = run_chain_census(2 * 10**6, build_factor_table(2 * 10**6))
+        assert (r.z, r.count_p1, r.count_p2, r.count_p3) == (1505, 429380, 389674, 338190)
+        assert r.count_rough_small_tau == r.count_rough == 148694
+        assert r.count_excess_tau == 136162
+
+
+class TestBlockedPass:
+    """The block arrays and predicates against the per-n reference, across block edges."""
+
+    LIMIT = 3 * 10**4
+
+    @pytest.fixture(scope="class")
+    def reference(self, table):
+        rows = []
+        for n in range(3, self.LIMIT + 1):
+            rep = witness_report(n, table)
+            rows.append(
+                (_factorize(n, table.spf)[0][1], tau(n, table), tau_of_square(n, table),
+                 rep.p1, rep.p2, rep.p3)
+            )
+        return rows
+
+    @pytest.mark.parametrize("block", [997, 4099, numtheory._BLOCK])
+    def test_every_n_matches_witness_report(self, table, reference, monkeypatch, block):
+        monkeypatch.setattr(numtheory, "_BLOCK", block)
+        rows = []
+        for start, spf, e, tau_n, tau_n2 in numtheory._divisor_blocks(3, self.LIMIT + 1, table):
+            assert start == 3 + len(rows)
+            p1, p2, p3 = _block_predicates(start, spf, e, tau_n, tau_n2, table)
+            rows.extend(zip(e.tolist(), tau_n.tolist(), tau_n2.tolist(),
+                            p1.tolist(), p2.tolist(), p3.tolist()))
+        assert len(rows) == len(reference)
+        mismatched = [n for n, got, want in zip(range(3, self.LIMIT + 1), rows, reference) if got != want]
+        assert not mismatched
+
+    def test_residue_scan_finds_a_witness_beyond_d_max(self):
+        # the only n <= 10^7 whose witness the d_max test misses: d_max = n²/19
+        # has tau 18 < 19, but d = n²/23 has tau 24 >= 23
+        n = 19 * 23**4
+        t = build_factor_table(n)
+        [(start, spf, e, tau_n, tau_n2)] = numtheory._divisor_blocks(n, n + 1, t)
+        p2, _, refuted = numtheory._chain_tests(spf, e, tau_n, tau_n2)
+        assert not p2[0] and not refuted[0]
+        p1, _, _ = _block_predicates(start, spf, e, tau_n, tau_n2, t)
+        assert not p1[0]
+
+    def test_census_independent_of_block_size(self, table, monkeypatch):
+        base = run_chain_census(10**5, table)
+        for block in (997, 4099):
+            monkeypatch.setattr(numtheory, "_BLOCK", block)
+            assert run_chain_census(10**5, table) == base
 
 
 class TestTheoremReport:

@@ -201,15 +201,17 @@ class TestKernelVerdicts:
 
     ``data/kernel_verdicts.json`` holds the sets ``solve_m`` tries for
     n = 3..16 and the combinations ``check_perfect`` tries for n = 3..200,
-    each with the tileable flag the kernel gave it when recorded.  A pruning
-    bug that loses a tiling would raise M(n) silently.  Only 14 of the sets
-    tile, and a lost tiling often has a symmetric twin the kernel still
-    finds, so ``test_agrees_with_naive_search`` is the other half of the guard.
+    each with the tileable flag the kernel gave it when recorded, plus
+    (``tileable_at_m``) all 35 sets at w = M(n) that tile for n = 3..16,
+    where ``solve_m`` itself stops at the first.  A pruning bug that loses a
+    tiling would raise M(n) silently.  A lost tiling often has a symmetric
+    twin the kernel still finds, so ``test_agrees_with_naive_search`` is the
+    other half of the guard.
     """
 
     VERDICTS = json.loads((Path(__file__).parent / "data" / "kernel_verdicts.json").read_text())
 
-    @pytest.mark.parametrize("caller", ["solve_m", "check_perfect"])
+    @pytest.mark.parametrize("caller", ["solve_m", "check_perfect", "tileable_at_m"])
     def test_replay(self, caller):
         changed = []
         for n, sides, tileable in self.VERDICTS[caller]:
