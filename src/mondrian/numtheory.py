@@ -2,7 +2,8 @@
 
 The load-bearing objects are a smallest-prime-factor sieve (``FactorTable``),
 the witness filter over proper divisors of n² (``witness_report``), and exact
-counting primitives for z-rough integers and the divisor summatory function.
+counting primitives: z-rough integers by a floor-quotient sieve over the
+O(sqrt x) values x // k (``rough_count``), and the divisor summatory function.
 All arithmetic is exact integer arithmetic; the only floats are the analytic
 reference quantities (thresholds, Mertens-type densities).
 """
@@ -39,8 +40,9 @@ WITNESS_SAFE_LIMIT = 10**6
 
 _E_TO_E = math.exp(math.e)
 
-# integers per rough_count sieve segment: 1 MiB of bools bounds its memory
-_SEGMENT = 1 << 20
+# rough_count keeps four int64 arrays of isqrt(x) + 1 entries, about 100 MB at
+# this bound, where x // k stays far inside int64
+ROUGH_SAFE_LIMIT = 10**13
 
 # integers per divisor-sieve block: bounds its six int64 work arrays to 768 KiB
 _BLOCK = 1 << 14
@@ -219,27 +221,66 @@ def is_rough(n: int, z: int, t: FactorTable) -> bool:
     return int(t.spf[n]) > z
 
 
-def _rough_segment(lo: int, hi: int, primes: list[int]) -> int:
-    """Survivors of crossing off all multiples of ``primes`` within [lo, hi]."""
-    alive = np.ones(hi - lo + 1, dtype=bool)
-    for p in primes:
-        start = ((lo + p - 1) // p) * p
-        if start <= hi:
-            alive[start - lo :: p] = False
-    return int(alive.sum())
+def _lucy(x: int, z: int) -> tuple[int, int]:
+    """(S(x), k) after Lucy's floor-quotient sieve applies the k primes p <= min(z, isqrt x).
+
+    S(v) counts the m in [2, v] that are prime or have every prime factor
+    above the last prime applied; it starts at v - 1, and applying the j-th
+    prime p (0-based) lowers S(v) by S(v // p) - j for every v >= p².  Only
+    the floor quotients of x are kept: ``small[v]`` = S(v) for v <= r = isqrt x
+    and ``large[k]`` = S(x // k) for k <= r.
+    """
+    r = math.isqrt(x)
+    primes = _primes_upto(min(z, r))
+    small = np.arange(-1, r, dtype=np.int64)
+    quot = np.arange(r + 1, dtype=np.int64)
+    quot[0] = 1
+    np.floor_divide(x, quot, out=quot)  # quot[k] = x // k
+    large = quot - 1
+    buf = np.empty(r + 1, dtype=np.int64)  # scratch; each right-hand side is copied here first
+    for j, p in enumerate(primes):
+        kmax = min(r, x // (p * p))  # large[k] changes while x // k >= p²
+        mid = min(kmax, r // p)
+        # kp <= r: S(x // kp) is large[kp]
+        np.subtract(large[p : p * mid + 1 : p], j, out=buf[:mid])
+        np.subtract(large[1 : mid + 1], buf[:mid], out=large[1 : mid + 1])
+        # kp > r: x // kp <= r, read from small
+        tail = buf[: kmax - mid]
+        np.floor_divide(quot[mid + 1 : kmax + 1], p, out=tail)
+        # take reads each index before it writes that slot, so tail can be both
+        np.take(small, tail, out=tail, mode="clip")
+        np.subtract(tail, j, out=tail)
+        np.subtract(large[mid + 1 : kmax + 1], tail, out=large[mid + 1 : kmax + 1])
+        # p² <= v <= r: v // p = w for the p values v in [wp, wp + p)
+        top = r // p
+        if top >= p:
+            small[p * top :] -= small[top] - j  # the last, possibly partial, run first
+            np.subtract(small[p:top], j, out=buf[: top - p])
+            runs = small[p * p : p * top].reshape(top - p, p)
+            np.subtract(runs, buf[: top - p, None], out=runs)
+    return int(large[1]), len(primes)
 
 
 def rough_count(x: int, z: int) -> int:
-    """Exact |{n <= x : n is z-rough}| by segmented sieving, with 1 included."""
+    """Exact |{n <= x : n is z-rough}|, with 1 included, for 1 <= x <= ``ROUGH_SAFE_LIMIT``.
+
+    This is Legendre's phi(x, pi(z)) by Lucy's floor-quotient sieve
+    stopped at z: O(x^(3/4) / log x) time and O(sqrt x) memory.  For
+    z >= isqrt(x) every prime up to sqrt x has been applied, so S(x) = pi(x)
+    and the count is 1 + pi(x) - pi(min(z, x)).
+    """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
-    primes = _primes_upto(min(z, x))
-    return sum(
-        _rough_segment(lo, min(lo + _SEGMENT - 1, x), primes)
-        for lo in range(1, x + 1, _SEGMENT)
-    )
+    if x > ROUGH_SAFE_LIMIT:
+        raise ValueError(f"x={x} exceeds the rough_count limit {ROUGH_SAFE_LIMIT}")
+    s, applied = _lucy(x, z)
+    if z <= math.isqrt(x):
+        return 1 + s - applied
+    if z >= x:
+        return 1
+    return 1 + s - _lucy(z, z)[0]
 
 
 def mertens_product(z: int) -> Fraction:

@@ -29,6 +29,16 @@ def naive_is_rough(n: int, z: int) -> bool:
     return all(d > z for d in naive_divisors(n) if d > 1)
 
 
+def sieve_rough_count(x: int, z: int) -> int:
+    """|{n <= x : n is z-rough}| by crossing off every multiple of each prime <= z."""
+    alive = [True] * (x + 1)
+    alive[0] = False
+    for p in range(2, min(z, x) + 1):
+        if alive[p]:  # every smaller prime is crossed off already, so p is prime
+            alive[p::p] = [False] * len(range(p, x + 1, p))
+    return sum(alive)
+
+
 def divisors_of_square(n: int) -> list[int]:
     """All divisors of n² found through the paired small divisors <= n."""
     n2 = n * n

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from mondrian import numtheory
 from mondrian.cli import RunConfig, dispatch, main, parse_args
 from mondrian.tiling import tiling_from_json, verify_tiling
 
@@ -108,6 +109,16 @@ class TestDispatch:
         rc = main(["rough", "--x", "100"])
         assert rc == 0
         assert capsys.readouterr().out.strip().isdigit()
+
+    @pytest.mark.parametrize("z_args", [[], ["--z", "50"]], ids=["default-z", "z50"])
+    def test_rough_beyond_safe_limit_exits_2(self, capsys, monkeypatch, z_args):
+        monkeypatch.setattr(numtheory, "_lucy", None)  # the sieve must never start
+        x = str(numtheory.ROUGH_SAFE_LIMIT + 1)
+        for fmt in ("text", "json", "csv"):
+            assert main(["rough", "--x", x, *z_args, "--format", fmt]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "exceeds the rough_count limit" in captured.err
 
     def test_census_csv_shape(self, capsys):
         rc = main(["census", "--x", "30", "--format", "csv"])

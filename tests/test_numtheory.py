@@ -18,6 +18,8 @@ from mondrian.numtheory import (
     tau_of_square,
     tau_summatory,
     witness_report,
+    ROUGH_SAFE_LIMIT,
+    _primes_upto,
     _tau_threshold,
 )
 from oracles import (
@@ -27,6 +29,12 @@ from oracles import (
     naive_spf,
     naive_tau,
     naive_witness,
+    sieve_rough_count,
+)
+
+ROUGH_BOUNDARY_PRIMES = (2, 3, 5, 7, 31, 97)
+ROUGH_BOUNDARY_XS = sorted(
+    {1, 2, 3, 4} | {p * p + d for p in ROUGH_BOUNDARY_PRIMES for d in (-1, 0, 1)}
 )
 
 
@@ -188,16 +196,40 @@ class TestRoughCount:
     def test_only_one_survives(self):
         assert rough_count(30, 30) == 1
 
-    @given(st.integers(min_value=1, max_value=2000), st.sampled_from([1, 2, 3, 7, 20, 50]))
+    @given(
+        st.integers(min_value=1, max_value=2000),
+        st.sampled_from([1, 2, 3, 7, 20, 50]) | st.integers(min_value=0, max_value=3000),
+    )
     @settings(max_examples=60)
     def test_matches_brute_filter(self, x, z):
         assert rough_count(x, z) == sum(1 for n in range(1, x + 1) if naive_is_rough(n, z))
 
-    def test_partitioning_independence(self, monkeypatch):
-        base = rough_count(10**5, 30)
-        for segment in (999, 7777):
-            monkeypatch.setattr(numtheory, "_SEGMENT", segment)
-            assert rough_count(10**5, 30) == base
+    @pytest.mark.parametrize("x", ROUGH_BOUNDARY_XS)
+    def test_sieve_boundaries(self, x):
+        # x and z on both sides of every p² and of sqrt(x), where the update
+        # ranges, the small/large split and the pi(z) branch change
+        r = math.isqrt(x)
+        zs = {0, 1, r, r + 1, x - 1, x, x + 1, 10 * x}
+        zs |= {q for p in ROUGH_BOUNDARY_PRIMES for q in (p - 1, p)}
+        for z in sorted(zs):
+            assert rough_count(x, z) == sieve_rough_count(x, z), (x, z)
+
+    def test_prime_count_anchors(self):
+        # 1 + pi(x) - pi(sqrt x), pi(10**k) from OEIS A006880
+        for k, pi in enumerate((78498, 664579, 5761455, 50847534, 455052511), start=6):
+            x = 10**k
+            assert rough_count(x, math.isqrt(x)) == 1 + pi - len(_primes_upto(math.isqrt(x)))
+
+    def test_rough_workload_references(self):
+        assert rough_count(10**9, 50) == 138704065
+        assert rough_count(10**9, 4852) == 64709133
+
+    def test_safe_limit(self, monkeypatch):
+        # rejected before the sieve allocates anything
+        monkeypatch.setattr(numtheory, "_lucy", None)
+        for z in (0, 50, ROUGH_SAFE_LIMIT):
+            with pytest.raises(ValueError, match="limit"):
+                rough_count(ROUGH_SAFE_LIMIT + 1, z)
 
     def test_ten_thousand_against_trial_division(self):
         for z in (7, 50, 211):
