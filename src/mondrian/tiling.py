@@ -5,8 +5,9 @@ the square exactly; its defect is max piece area minus min piece area.  The
 solver finds the minimum defect by iterating candidate defects and running an
 exact-cover backtracker over candidate piece sets.  The board lives in a
 single Python integer used as a bitboard, one bit per cell in row-major
-order, so "find the first uncovered cell" is a couple of bit operations and a
-placement test is one shift and one AND.
+order, so "find the first uncovered cell" is a couple of bit operations, and
+the unused oriented pieces that can go there are the set bits of one more
+integer.
 
 Key search facts the code relies on:
 
@@ -19,6 +20,11 @@ Key search facts the code relies on:
 * Reflecting a tiling in the main diagonal preserves validity, incongruence
   and defect, so the piece placed at cell (0, 0) may be restricted to
   width >= height without losing any achievable defect.
+* A piece wider than the first empty run (the empty cells from the first
+  empty cell to the next occupied cell or the row's end) can never fit, so it
+  is never tried.  One no wider than the run and no taller than the rows left
+  always fits: a piece covering a cell below the run would have had to start
+  at or before the first empty cell's row, and so would cover part of the run.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -217,60 +224,90 @@ def _sorted_pieces(pieces: Iterable[Rect]) -> tuple[Rect, ...]:
 
 
 class _CoverSearch:
-    """One exact-cover run: place every piece exactly once, first found wins."""
+    """One exact-cover run: place every piece exactly once, first found wins.
+
+    Variant v = 2*i + rotated is piece i in one orientation (a square has only
+    v = 2*i), so visiting the set bits of a variant mask from low to high
+    visits pieces by descending area, the unrotated variant first.  A node is
+    one placement attempt on a variant that fits the run and the remaining
+    height; ``nodes`` counts them and ``budget`` caps them.
+    """
 
     def __init__(self, n: int, pieces: tuple[Rect, ...], budget: int | None = None):
         self.n = n
         self.pieces = pieces
         self.budget = budget
         self.nodes = 0
-        self.orients: list[list[tuple[int, int, int, bool]]] = []
-        for r in pieces:
-            variants = [(r.w, r.h, _base_mask(n, r.w, r.h), False)]
-            if r.w != r.h:
-                variants.append((r.h, r.w, _base_mask(n, r.h, r.w), True))
-            self.orients.append(variants)
+        self.masks = [0] * (2 * len(pieces))
+        by_width = [0] * (n + 1)
+        by_height = [0] * (n + 1)
+        self.avail = 0
+        self.root = 0  # variants with width >= height
+        for i, r in enumerate(pieces):
+            shapes = [(r.w, r.h)] if r.w == r.h else [(r.w, r.h), (r.h, r.w)]
+            for rotated, (width, height) in enumerate(shapes):
+                v = 2 * i + rotated
+                bit = 1 << v
+                self.masks[v] = _base_mask(n, width, height)
+                by_width[width] |= bit
+                by_height[height] |= bit
+                self.avail |= bit
+                if width >= height:
+                    self.root |= bit
+        # fitw[k] / fith[k]: the variants of width / height at most k
+        self.fitw = list(itertools.accumulate(by_width, operator.or_))
+        self.fith = list(itertools.accumulate(by_height, operator.or_))
 
     def search(self) -> Tiling | None:
         n = self.n
         full = (1 << (n * n)) - 1
-        piece_count = len(self.pieces)
-        orients = self.orients
-        budget = self.budget
-        out: list[Placement] = []
-
-        def rec(occ: int, used: int) -> bool:
+        masks, fitw, fith = self.masks, self.fitw, self.fith
+        stop = 0 if self.budget is None else self.budget + 1  # nodes never reaches 0
+        nodes = 0
+        occ, avail, cell = 0, self.avail, 0
+        cand = avail & self.root  # the board is empty, so every variant fits
+        trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
+        while True:
+            if not cand:
+                if not trail:
+                    self.nodes = nodes
+                    return None
+                occ, avail, cand, cell, _ = trail.pop()
+                continue
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            nodes += 1
+            if nodes == stop:
+                self.nodes = nodes
+                raise BudgetExceededError(f"node budget {self.budget} exhausted", nodes=nodes)
+            trail.append((occ, avail, cand, cell, v))
+            occ |= masks[v] << cell
             if occ == full:
-                return True
-            cell = ((~occ) & (occ + 1)).bit_length() - 1
-            x = cell % n
-            max_w = n - x
-            max_h = n - cell // n
-            at_root = occ == 0
-            for idx in range(piece_count):
-                if used & (1 << idx):
-                    continue
-                for width, height, base, rot in orients[idx]:
-                    if width > max_w or height > max_h:
-                        continue
-                    if at_root and width < height:
-                        continue  # a diagonal reflection supplies the other orientation
-                    self.nodes += 1
-                    if budget is not None and self.nodes > budget:
-                        raise BudgetExceededError(
-                            f"node budget {budget} exhausted", nodes=self.nodes
-                        )
-                    mask = base << cell
-                    if mask & occ:
-                        continue
-                    out.append(Placement(self.pieces[idx], x, cell // n, rot))
-                    if rec(occ | mask, used | (1 << idx)):
-                        return True
-                    out.pop()
-            return False
+                break
+            avail &= ~(3 << (v & ~1))
+            nxt = occ + 1
+            cell = (occ ^ nxt).bit_length() - 1
+            run = n - cell % n
+            ahead = occ & nxt  # the occupied cells after the first empty one
+            if ahead:
+                gap = (ahead & -ahead).bit_length() - 1 - cell
+                if gap < run:
+                    run = gap
+            cand = avail & fitw[run] & fith[n - cell // n]
+        self.nodes = nodes
+        return self._tiling([level[4] for level in trail])
 
-        if not rec(0, 0):
-            return None
+    def _tiling(self, placed: list[int]) -> Tiling:
+        """Replay the placed variants from an empty board into the certificate."""
+        n = self.n
+        occ = 0
+        out = []
+        for v in placed:
+            cell = (occ ^ (occ + 1)).bit_length() - 1
+            occ |= self.masks[v] << cell
+            y, x = divmod(cell, n)
+            out.append(Placement(self.pieces[v >> 1], x, y, bool(v & 1)))
         areas = [p.rect.area for p in out]
         return Tiling(n=n, placements=tuple(out), defect=max(areas) - min(areas))
 
@@ -369,9 +406,11 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     admitting a tiling is therefore the minimum.  Its certificate is checked
     by ``verify_tiling`` first; a rejected one raises ``InternalConsistencyError``.
 
-    Raises ``BudgetExceededError`` once ``node_budget`` placement attempts
-    have been spent; the error carries the proven lower bound (the defect
-    level being processed) and the trivial two-strip upper bound n(n-2).
+    Raises ``BudgetExceededError`` once the search needs more than
+    ``node_budget`` nodes; a node is one placement attempt on a variant that
+    fits the run and the remaining height.  The error carries the proven
+    lower bound (the defect level being processed) and the trivial two-strip
+    upper bound n(n-2).
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -439,7 +478,9 @@ def check_perfect(
     exist and the search is skipped entirely (FilterExcluded).  Otherwise
     every surviving divisor's piece-set combinations are tiled exhaustively:
     PerfectFound with a certificate that has passed ``verify_tiling``, or
-    Exhausted.
+    Exhausted.  ``nodes_searched`` counts the nodes of those searches; a node
+    is one placement attempt on a variant that fits the run and the remaining
+    height, and more than ``node_budget`` of them raise ``BudgetExceededError``.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")

@@ -2,12 +2,16 @@
 
 Everything here is written from first principles (trial division, full
 enumeration, list-based grids) so that it shares no code path with the
-library under test.
+library under test.  Only the certificate data classes ``Placement`` and
+``Tiling`` come from the library, so that ``seed_cover_search`` returns what
+the kernel it checks returns.
 """
 
 from __future__ import annotations
 
 import math
+
+from mondrian.tiling import Placement, Tiling
 
 
 def naive_tau(n: int) -> int:
@@ -153,3 +157,72 @@ def naive_min_defect(n: int) -> int:
 
     rec(0, target, [])
     return best
+
+
+# ---------------------------------------------------------------------------
+# the first cover kernel: every unused piece and orientation tried at every node
+# ---------------------------------------------------------------------------
+
+
+def seed_cover_search(n: int, pieces) -> tuple[Tiling | None, int]:
+    """The first tiling the cover kernel of the first release finds, or None,
+    and the number of pieces it placed on the way.
+
+    Kept as the differential reference for ``tiling._CoverSearch``: it visits
+    every unused piece in both orientations at every node and rejects a
+    misfit by a shift-and-AND test, in the same order (pieces by descending
+    area, the unrotated orientation first), so both must return the same
+    certificate for every piece set, and the kernel's node count must equal
+    the placements made here.
+    """
+    pieces = tuple(sorted(pieces, key=lambda r: (-r.area, r.w, r.h)))
+
+    def base_mask(width: int, height: int) -> int:
+        row = (1 << width) - 1
+        mask = 0
+        for r in range(height):
+            mask |= row << (r * n)
+        return mask
+
+    orients = []
+    for r in pieces:
+        variants = [(r.w, r.h, base_mask(r.w, r.h), False)]
+        if r.w != r.h:
+            variants.append((r.h, r.w, base_mask(r.h, r.w), True))
+        orients.append(variants)
+    full = (1 << (n * n)) - 1
+    piece_count = len(pieces)
+    out: list[Placement] = []
+    placed = 0
+
+    def rec(occ: int, used: int) -> bool:
+        nonlocal placed
+        if occ == full:
+            return True
+        cell = ((~occ) & (occ + 1)).bit_length() - 1
+        x = cell % n
+        max_w = n - x
+        max_h = n - cell // n
+        at_root = occ == 0
+        for idx in range(piece_count):
+            if used & (1 << idx):
+                continue
+            for width, height, base, rot in orients[idx]:
+                if width > max_w or height > max_h:
+                    continue
+                if at_root and width < height:
+                    continue  # a diagonal reflection supplies the other orientation
+                mask = base << cell
+                if mask & occ:
+                    continue
+                out.append(Placement(pieces[idx], x, cell // n, rot))
+                placed += 1
+                if rec(occ | mask, used | (1 << idx)):
+                    return True
+                out.pop()
+        return False
+
+    if not rec(0, 0):
+        return None, placed
+    areas = [p.rect.area for p in out]
+    return Tiling(n=n, placements=tuple(out), defect=max(areas) - min(areas)), placed

@@ -74,15 +74,15 @@ def test_criterion_01_m6_value_certificate_and_speed():
     _report(1, f"M(6) = 5, [4,9]-window certificate verified, solve in {elapsed:.2f}s")
 
 
-def test_criterion_02_oeis_regression_3_to_12(bfile_path):
+def test_criterion_02_oeis_regression_3_to_19(bfile_path):
     series = load_bfile(bfile_path)
     start = time.monotonic()
-    outcome = compare_oeis(series, 3, 12)  # default budget
+    outcome = compare_oeis(series, 3, 19)  # default budget
     elapsed = time.monotonic() - start
     assert outcome.mismatches == ()
     assert outcome.budget_exceeded == ()
     assert elapsed < 1800.0
-    _report(2, f"A276523 regression n=3..12 clean in {elapsed:.2f}s")
+    _report(2, f"A276523 regression n=3..19 clean in {elapsed:.2f}s")
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

@@ -27,7 +27,13 @@ from mondrian.tiling import (
     _piece_sets_with_spread,
 )
 from mondrian.numtheory import tau
-from oracles import divisors_of_square, naive_min_defect, naive_tau, naive_tiles
+from oracles import (
+    divisors_of_square,
+    naive_min_defect,
+    naive_tau,
+    naive_tiles,
+    seed_cover_search,
+)
 
 
 def R(a, b):
@@ -220,6 +226,44 @@ class TestKernelVerdicts:
                 changed.append((n, sides, tileable))
             assert found is None or verify_tiling(found).valid
         assert not changed
+
+
+class TestAgainstSeedKernel:
+    """The cover kernel returns the seed kernel's certificate for every set the solvers try.
+
+    Both visit pieces by descending area, the unrotated variant first, so a
+    kernel that skips or reorders a choice changes the certificate, even where
+    a symmetric twin keeps the verdict.  Its node count must equal the pieces
+    the seed kernel placed: a node is a placement that fits, never a misfit.
+    """
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        seen = []
+
+        class Recording(tiling._CoverSearch):
+            def search(self):
+                found = super().search()
+                seen.append((self.n, self.pieces, found, self.nodes))
+                return found
+
+        monkeypatch.setattr(tiling, "_CoverSearch", Recording)
+        return seen
+
+    def _assert_same_as_seed(self, seen):
+        assert seen
+        for n, pieces, found, nodes in seen:
+            assert (found, nodes) == seed_cover_search(n, pieces), (n, pieces)
+
+    def test_solve_m(self, searched):
+        for n in range(3, 15):
+            solve_m(n)
+        self._assert_same_as_seed(searched)
+
+    def test_check_perfect(self, searched, table):
+        for n in range(3, 61):
+            check_perfect(n, table)
+        self._assert_same_as_seed(searched)
 
 
 class TestVerifyTiling:
