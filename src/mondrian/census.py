@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError
 from .numtheory import (
-    FactorTable,
     _chain_tests,
     _divisor_blocks,
     _factorize,
@@ -105,38 +104,46 @@ class TheoremReport:
 
 
 def _block_predicates(
-    start: int, spf: np.ndarray, e: np.ndarray, tau_n: np.ndarray, tau_n2: np.ndarray, t: FactorTable
+    start: int,
+    spf: np.ndarray,
+    e: np.ndarray,
+    tau_n: np.ndarray,
+    tau_n2: np.ndarray,
+    rest: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(p1, p2, p3) arrays for the block of n from ``start`` that ``_divisor_blocks`` gave.
 
-    p2 settles p1 and a witness at d_max refutes it; only the rest, about
-    2 % of n, need the full divisor scan.
+    p2 settles p1 and a witness at d_max refutes it; only the n left, about
+    2 %, need the full divisor scan.  Trial division factors n // rest, whose
+    primes are all sieved ones, and rest, 1 or a prime above them, goes last.
     """
     p2, p3, refuted = _chain_tests(spf, e, tau_n, tau_n2)
     p1 = p2.copy()
-    for i in np.flatnonzero(~(p2 | refuted)).tolist():
+    todo = np.flatnonzero(~(p2 | refuted))
+    for i, r in zip(todo.tolist(), rest[todo].tolist()):
         n = start + i
-        p1[i] = next(_witnesses(n, _factorize(n, t.spf)), None) is None
+        factors = _factorize(n // r) + ([(r, 1)] if r > 1 else [])
+        p1[i] = next(_witnesses(n, factors), None) is None
     return p1, p2, p3
 
 
-def run_chain_census(x: int, t: FactorTable) -> CensusRecord:
+def run_chain_census(x: int) -> CensusRecord:
     """Evaluate every chain predicate over [3, x] and package exact counts.
 
-    Everything runs in one thread, block by block: one divisor sieve gives
-    spf, tau(n) and tau(n²) for a block of n, the predicates and counts come
-    from those arrays, and only the residue n get a per-n divisor scan.
+    Everything runs in one thread, block by block.  One divisor sieve derives
+    spf, tau(n) and tau(n²) for a block of n from the primes up to sqrt x, so
+    memory stays O(sqrt x + block) with no table over [2, x]; the predicates
+    and counts come from those arrays, and only the residue n get a per-n
+    divisor scan.
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
-    if x > t.limit:
-        raise ValueError(f"x={x} exceeds table limit {t.limit}")
     z = compute_z(x)
     threshold = _tau_threshold(x)
 
     count_p1 = count_p2 = count_p3 = count_rst = count_excess = 0
-    for start, spf, e, tau_n, tau_n2 in _divisor_blocks(3, x + 1, t):
-        p1, p2, p3 = _block_predicates(start, spf, e, tau_n, tau_n2, t)
+    for start, spf, e, tau_n, tau_n2, rest in _divisor_blocks(3, x + 1):
+        p1, p2, p3 = _block_predicates(start, spf, e, tau_n, tau_n2, rest)
         rough_small = (spf > z) & (tau_n <= threshold)
         broken = (rough_small & ~p3) | (p3 & ~p2) | (p2 & ~p1)
         if broken.any():
@@ -181,9 +188,9 @@ _REPORT_NOTES = (
 )
 
 
-def theorem_report(x: int, t: FactorTable) -> TheoremReport:
+def theorem_report(x: int) -> TheoremReport:
     """Exact census counts side by side with their asymptotic reference values."""
-    record = run_chain_census(x, t)
+    record = run_chain_census(x)
     density = float(mertens_product(record.z))
     product_reference = x * density
     return TheoremReport(

@@ -25,7 +25,8 @@ from .census import (
     theorem_report,
 )
 from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError
-from .numtheory import build_factor_table, compute_z, rough_count
+from .numtheory import build_factor_table  # noqa: F401  # perfbench/spans.py wraps this name
+from .numtheory import compute_z, rough_count
 from .tiling import check_perfect, solve_m, tiling_to_json
 from .tiling import verify_tiling  # noqa: F401  # perfbench/spans.py wraps this name
 
@@ -179,8 +180,7 @@ def _run_solve(config: RunConfig) -> str:
 
 
 def _run_perfect(config: RunConfig) -> str:
-    table = build_factor_table(max(config.n, 2))
-    outcome = check_perfect(config.n, table, node_budget=config.node_budget)
+    outcome = check_perfect(config.n, node_budget=config.node_budget)
     if config.output_format == "json":
         obj = {
             "n": outcome.n,
@@ -196,8 +196,7 @@ def _run_perfect(config: RunConfig) -> str:
 
 
 def _run_census(config: RunConfig) -> str:
-    table = build_factor_table(config.x)
-    record = run_chain_census(config.x, table)
+    record = run_chain_census(config.x)
     if config.output_format == "csv":
         return CENSUS_CSV_HEADER + "\n" + census_csv_row(record) + "\n"
     if config.output_format == "json":
@@ -218,8 +217,7 @@ def _run_rough(config: RunConfig) -> str:
 
 
 def _run_chain(config: RunConfig) -> str:
-    table = build_factor_table(config.x)
-    report = theorem_report(config.x, table)
+    report = theorem_report(config.x)
     if config.output_format == "json":
         return json.dumps(report.as_dict()) + "\n"
     r = report.record

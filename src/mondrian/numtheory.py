@@ -1,9 +1,11 @@
 """Divisor-function machinery behind the perfect-tiling filter and the censuses.
 
-The load-bearing objects are a smallest-prime-factor sieve (``FactorTable``),
-the witness filter over proper divisors of n² (``witness_report``), and exact
+The load-bearing objects are factorisation by trial division, the witness
+filter over proper divisors of n² (``witness_report``), a blocked divisor sieve
+that gives the censuses spf, tau(n) and tau(n²) in O(block) memory, and exact
 counting primitives: z-rough integers by a floor-quotient sieve over the
 O(sqrt x) values x // k (``rough_count``), and the divisor summatory function.
+``FactorTable`` remains as a standalone spf table that no other function uses.
 All arithmetic is exact integer arithmetic; the only floats are the analytic
 reference quantities (thresholds, Mertens-type densities).
 """
@@ -54,7 +56,8 @@ class FactorTable:
 
     ``spf[m]`` is the smallest prime dividing m (and ``spf[p] == p`` exactly
     for primes).  Entries 0 and 1 are zero sentinels.  The array is marked
-    read-only, so one table can be shared by every census and check.
+    read-only.  No other function here takes a table: they factor by trial
+    division, and the censuses derive spf in their own block sieve.
     """
 
     limit: int
@@ -87,40 +90,42 @@ def build_factor_table(limit: int) -> FactorTable:
     return FactorTable(limit=limit, spf=spf)
 
 
-def _check_range(n: int, t: FactorTable, minimum: int = 1) -> None:
+def _check_range(n: int, minimum: int = 1) -> None:
     if n < minimum:
         raise ValueError(f"n must be >= {minimum}, got {n}")
-    if n > t.limit:
-        raise ValueError(f"n={n} exceeds table limit {t.limit}")
 
 
-def _factorize(n: int, spf) -> list[tuple[int, int]]:
-    """(prime, exponent) pairs of n in ascending prime order; n >= 1."""
+def _factorize(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n in ascending prime order, by trial division; n >= 1."""
     out = []
-    while n > 1:
-        p = int(spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        out.append((p, e))
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
     return out
 
 
-def tau(n: int, t: FactorTable) -> int:
+def tau(n: int) -> int:
     """Number of positive divisors of n."""
-    _check_range(n, t)
+    _check_range(n)
     result = 1
-    for _, e in _factorize(n, t.spf):
+    for _, e in _factorize(n):
         result *= e + 1
     return result
 
 
-def tau_of_square(n: int, t: FactorTable) -> int:
-    """tau(n²) computed from n's own exponents, so only n must be in range."""
-    _check_range(n, t)
+def tau_of_square(n: int) -> int:
+    """tau(n²) computed from n's own exponents, so only n is factorised."""
+    _check_range(n)
     result = 1
-    for _, e in _factorize(n, t.spf):
+    for _, e in _factorize(n):
         result *= 2 * e + 1
     return result
 
@@ -136,10 +141,10 @@ def _divisor_tau_pairs(factors: list[tuple[int, int]], square: bool) -> list[tup
     return pairs
 
 
-def divisors(n: int, t: FactorTable) -> list[int]:
+def divisors(n: int) -> list[int]:
     """Ascending list of all positive divisors of n."""
-    _check_range(n, t)
-    return sorted(d for d, _ in _divisor_tau_pairs(_factorize(n, t.spf), square=False))
+    _check_range(n)
+    return sorted(d for d, _ in _divisor_tau_pairs(_factorize(n), square=False))
 
 
 @dataclass(frozen=True)
@@ -200,25 +205,23 @@ def _chain_predicates(n: int, factors: list[tuple[int, int]]) -> tuple[bool, boo
     return next(_witnesses(n, factors), None) is None, False, p3
 
 
-def witness_report(n: int, t: FactorTable) -> WitnessReport:
+def witness_report(n: int) -> WitnessReport:
     """Search the proper divisors of n² for the smallest filter witness."""
-    _check_range(n, t, minimum=3)
+    _check_range(n, minimum=3)
     if n > WITNESS_SAFE_LIMIT:
         raise ValueError(
             f"n={n} exceeds the 64-bit overflow guard ({WITNESS_SAFE_LIMIT}) for d*tau(d)"
         )
-    factors = _factorize(n, t.spf)
+    factors = _factorize(n)
     p1, p2, p3 = _chain_predicates(n, factors)
     witness = None if p1 else next(_witnesses(n, factors))[0]
     return WitnessReport(n=n, witness=witness, p1=p1, p2=p2, p3=p3)
 
 
-def is_rough(n: int, z: int, t: FactorTable) -> bool:
+def is_rough(n: int, z: int) -> bool:
     """True iff every divisor of n greater than 1 exceeds z (n=1 vacuously)."""
-    _check_range(n, t)
-    if n == 1:
-        return True
-    return int(t.spf[n]) > z
+    _check_range(n)
+    return n == 1 or _factorize(n)[0][0] > z
 
 
 def _lucy(x: int, z: int) -> tuple[int, int]:
@@ -321,27 +324,29 @@ def tau_summatory(x: int) -> int:
     return 2 * sum(x // a for a in range(1, r + 1)) - r * r
 
 
-def _divisor_block(
-    lo: int, hi: int, primes: list[int], spf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(e, tau(n), tau(n²)) for each n in [lo, hi), e the exponent of ``spf[n - lo]`` in n.
+def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...]:
+    """(spf, e, tau(n), tau(n²), rest) for each n in [lo, hi), e the exponent of spf in n.
 
     Needs 2 <= lo and every prime up to isqrt(hi - 1) in ascending ``primes``.
     Each prime crosses off its multiples, dividing itself out of an in-place
-    cofactor; whatever is left above 1 is one prime beyond the sieve.  A
-    prime of exponent 1 multiplies tau(n) by 2 and tau(n²) by 3, so those are
-    only counted, and the exponents a >= 2 are worked out on the multiples of
-    p² alone.
+    cofactor ``rest``; what is left is 1 or one prime beyond the sieve.  The
+    primes run in descending order, so the last to write spf and e at n is
+    the smallest prime dividing it; an n no prime crosses off is prime and
+    keeps spf = n.  A prime of exponent 1 multiplies tau(n) by 2 and tau(n²)
+    by 3, so those are only counted, and the exponents a >= 2 are worked out
+    on the multiples of p² alone.
     """
     size = hi - lo
-    rest = np.arange(lo, hi, dtype=np.int64)
+    spf = np.arange(lo, hi, dtype=np.int64)
+    rest = spf.copy()
     once = np.zeros(size, dtype=np.int64)  # sieved primes dividing n exactly once
     tau_n = np.ones(size, dtype=np.int64)  # prod of a + 1 over the primes with a >= 2
     tau_n2 = np.ones(size, dtype=np.int64)  # prod of 2a + 1 over the same primes
     e = np.ones(size, dtype=np.int64)
-    owner = np.zeros(size, dtype=np.int64)  # the prime whose exponent e holds
-    for p in reversed(primes):  # descending, so the smallest prime with a >= 2 owns e
+    for p in reversed(primes):
         s = -lo % p
+        spf[s::p] = p
+        e[s::p] = 1
         once[s::p] += 1
         rest[s::p] //= p
         q = p * p
@@ -359,27 +364,22 @@ def _divisor_block(
             tau_n[s::q] *= a + 1
             tau_n2[s::q] *= 2 * a + 1
             e[s::q] = a
-            owner[s::q] = p
     once += rest > 1
     tau_n <<= once
     tau_n2 *= 3**once
-    e[owner != spf] = 1
-    return e, tau_n, tau_n2
+    return spf, e, tau_n, tau_n2, rest
 
 
-def _divisor_blocks(
-    lo: int, hi: int, t: FactorTable
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """(start, spf, e, tau(n), tau(n²)) over blocks of ``_BLOCK`` integers covering [lo, hi)."""
+def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
+    """(start, spf, e, tau(n), tau(n²), rest) for each ``_BLOCK``-integer block of [lo, hi)."""
     primes = _primes_upto(math.isqrt(hi - 1))
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)
-        spf = t.spf[start:stop]
         block_primes = primes[: bisect_right(primes, math.isqrt(stop - 1))]
-        yield start, spf, *_divisor_block(start, stop, block_primes, spf)
+        yield start, *_divisor_block(start, stop, block_primes)
 
 
-def census_excess_tau(x: int, t: FactorTable) -> int:
+def census_excess_tau(x: int) -> int:
     """#{3 <= n <= x : tau(n) > g(x) ln(ln x) ln(x)}.
 
     tau comes from ``_divisor_blocks``, the one tau sieve, which
@@ -387,7 +387,5 @@ def census_excess_tau(x: int, t: FactorTable) -> int:
     """
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
-    if x > t.limit:
-        raise ValueError(f"x={x} exceeds table limit {t.limit}")
     threshold = _tau_threshold(x)
-    return sum(int((tau_n > threshold).sum()) for *_, tau_n, _ in _divisor_blocks(3, x + 1, t))
+    return sum(int((tau_n > threshold).sum()) for _, _, _, tau_n, _, _ in _divisor_blocks(3, x + 1))

@@ -38,7 +38,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, InternalConsistencyError
-from .numtheory import FactorTable, _factorize, _witnesses, witness_report
+from .numtheory import _factorize, _witnesses, witness_report
 
 __all__ = [
     "Rect",
@@ -212,11 +212,8 @@ def _piece_sets(n: int, lo: int, hi: int, exact_spread: bool) -> Iterator[tuple[
 
 
 def _base_mask(n: int, width: int, height: int) -> int:
-    row = (1 << width) - 1
-    mask = 0
-    for r in range(height):
-        mask |= row << (r * n)
-    return mask
+    # the row mask times sum_{r < height} 2^(r n), a geometric series in 2^n
+    return ((1 << width) - 1) * (((1 << (n * height)) - 1) // ((1 << n) - 1))
 
 
 def _sorted_pieces(pieces: Iterable[Rect]) -> tuple[Rect, ...]:
@@ -452,9 +449,7 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     raise AssertionError("unreachable: the two-strip tiling bounds the defect")
 
 
-def _perfect_candidates(
-    n: int, t: FactorTable
-) -> Iterator[tuple[int, int, list[Rect]]]:
+def _perfect_candidates(n: int) -> Iterator[tuple[int, int, list[Rect]]]:
     """(d, piece_count, rects) for each equal-area candidate, ascending d.
 
     A perfect tiling with piece area d needs d to be a proper divisor of n²
@@ -462,16 +457,14 @@ def _perfect_candidates(
     fitting the square, which caps the piece count at ceil(tau(d)/2).
     """
     n2 = n * n
-    for d, _ in _witnesses(n, _factorize(n, t.spf)):
+    for d, _ in _witnesses(n, _factorize(n)):
         s = n2 // d
         rects = rects_with_area(d, n)
         if s <= len(rects):
             yield d, s, rects
 
 
-def check_perfect(
-    n: int, t: FactorTable, node_budget: int = DEFAULT_NODE_BUDGET
-) -> PerfectCheckOutcome:
+def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectCheckOutcome:
     """Decide whether the n x n square admits an equal-area (defect 0) tiling.
 
     If no proper divisor of n² satisfies d*tau(d) >= n², no such tiling can
@@ -484,15 +477,13 @@ def check_perfect(
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
-    if n > t.limit:
-        raise ValueError(f"n={n} exceeds table limit {t.limit}")
     if node_budget < 1:
         raise ValueError(f"node_budget must be positive, got {node_budget}")
-    report = witness_report(n, t)
+    report = witness_report(n)
     if report.p1:
         return PerfectCheckOutcome(n, PerfectVerdict.FILTER_EXCLUDED, None, None, 0)
     spent = 0
-    candidates = list(_perfect_candidates(n, t))
+    candidates = list(_perfect_candidates(n))
     for i, (d, s, rects) in enumerate(candidates):
         for combo in itertools.combinations(rects, s):
             engine = _CoverSearch(n, _sorted_pieces(combo), budget=node_budget - spent)

@@ -3,8 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from mondrian.numtheory import build_factor_table
-
 ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = ROOT / "data"
 
@@ -15,11 +13,6 @@ def _child_interpreters_find_src(monkeypatch):
     # `python -m mondrian` children, which read the package path from the environment
     inherited = os.environ.get("PYTHONPATH")
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(ROOT / "src"), inherited])))
-
-
-@pytest.fixture(scope="session")
-def table():
-    return build_factor_table(10**6)
 
 
 @pytest.fixture(scope="session")

@@ -23,10 +23,26 @@ def naive_divisors(n: int) -> list[int]:
 
 
 def naive_spf(n: int) -> int:
-    for d in range(2, n + 1):
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    # a composite n has a divisor d with d² <= n
+    for d in range(2, math.isqrt(n) + 1):
         if n % d == 0:
             return d
-    raise ValueError("n must be >= 2")
+    return n
+
+
+def naive_factorization(n: int) -> list[tuple[int, int]]:
+    """(prime, exponent) pairs of n >= 1, ascending, by repeatedly dividing out ``naive_spf``."""
+    out = []
+    while n > 1:
+        p = naive_spf(n)
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
 
 
 def naive_is_rough(n: int, z: int) -> bool:

@@ -18,7 +18,6 @@ from mondrian.census import (
     theorem_report,
 )
 from mondrian.numtheory import (
-    build_factor_table,
     divisors,
     is_rough,
     mertens_product,
@@ -100,8 +99,7 @@ def test_criterion_04_witness_census_and_chain():
     assert witnessless == [3, 5, 7, 11, 13, 17, 19, 23, 25, 29]
     assert len(witnessless) == 10
 
-    table = build_factor_table(10**5)
-    record = run_chain_census(30, table)
+    record = run_chain_census(30)
     assert record.count_p1 == 10
 
     # pointwise chain over every n <= 1e5 through the public API
@@ -112,14 +110,14 @@ def test_criterion_04_witness_census_and_chain():
     threshold = _tau_threshold(x)
     violations = 0
     for n in range(3, x + 1):
-        r = witness_report(n, table)
-        rough_small = is_rough(n, z, table) and tau(n, table) <= threshold
+        r = witness_report(n)
+        rough_small = is_rough(n, z) and tau(n) <= threshold
         if (rough_small and not r.p3) or (r.p3 and not r.p2) or (r.p2 and not r.p1):
             violations += 1
     assert violations == 0
 
     # and the count chain at the census scale itself
-    big = run_chain_census(10**5, table)
+    big = run_chain_census(10**5)
     assert (
         big.count_rough_small_tau <= big.count_p3 <= big.count_p2 <= big.count_p1
     )
@@ -127,14 +125,13 @@ def test_criterion_04_witness_census_and_chain():
 
 
 def test_criterion_05_perfect_checks_through_20(bfile_path):
-    table = build_factor_table(10**6)
-    assert check_perfect(3, table).verdict is PerfectVerdict.FILTER_EXCLUDED
-    assert check_perfect(5, table).verdict is PerfectVerdict.FILTER_EXCLUDED
-    assert check_perfect(6, table).verdict is PerfectVerdict.EXHAUSTED
+    assert check_perfect(3).verdict is PerfectVerdict.FILTER_EXCLUDED
+    assert check_perfect(5).verdict is PerfectVerdict.FILTER_EXCLUDED
+    assert check_perfect(6).verdict is PerfectVerdict.EXHAUSTED
 
     verdicts = {}
     for n in range(3, 21):
-        outcome = check_perfect(n, table, node_budget=10**9)
+        outcome = check_perfect(n, node_budget=10**9)
         verdicts[n] = outcome.verdict
         assert outcome.verdict is not PerfectVerdict.PERFECT_FOUND
 
@@ -177,22 +174,19 @@ def test_criterion_07_tau_summatory():
 
 
 def test_criterion_08_property_suites():
-    table_small = build_factor_table(10**6)
     # tau(n^2) <= tau(n)^2 and tau(d) < tau(n^2) for proper d | n^2, n <= 1e3
     for n in range(1, 10**3 + 1):
-        tn2 = tau_of_square(n, table_small)
-        assert tn2 <= tau(n, table_small) ** 2
+        tn2 = tau_of_square(n)
+        assert tn2 <= tau(n) ** 2
         n2 = n * n
-        for d in divisors(n2, table_small):
+        for d in divisors(n2):
             if d != n2:
-                assert tau(d, table_small) < tn2
+                assert tau(d) < tn2
 
     # roughness of n and n^2 is the same property, n <= 1e4, z in {2,10,100}
-    table_big = build_factor_table(10**8)
     for n in range(1, 10**4 + 1):
         for z in (2, 10, 100):
-            assert is_rough(n, z, table_big) == is_rough(n * n, z, table_big)
-    del table_big
+            assert is_rough(n, z) == is_rough(n * n, z)
 
     # defect scales with k^2 on a corpus of valid tilings
     corpus = [solve_m(n)[1] for n in range(3, 8)]
@@ -231,8 +225,7 @@ def test_criterion_08_property_suites():
 
 
 def test_criterion_09_theorem_reported_not_asserted():
-    table = build_factor_table(10**5)
-    report = theorem_report(10**5, table)
+    report = theorem_report(10**5)
     # generation succeeds and carries the documented comparisons
     assert report.record.count_rough >= 0
     assert report.product_reference > 0

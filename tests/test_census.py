@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mondrian import numtheory
+from mondrian import census, numtheory
 from mondrian.census import (
     CENSUS_CSV_HEADER,
     EULER_GAMMA,
@@ -24,7 +24,6 @@ from mondrian.errors import BFileParseError
 from mondrian.numtheory import (
     _factorize,
     _tau_threshold,
-    build_factor_table,
     compute_z,
     tau,
     tau_of_square,
@@ -33,6 +32,7 @@ from mondrian.numtheory import (
 from oracles import (
     naive_is_rough,
     naive_predicates,
+    naive_spf,
     naive_tau,
     naive_witness,
 )
@@ -57,32 +57,32 @@ def brute_census_counts(x):
 
 
 class TestRunChainCensus:
-    def test_witnessless_count_at_thirty(self, table):
-        record = run_chain_census(30, table)
+    def test_witnessless_count_at_thirty(self):
+        record = run_chain_census(30)
         assert record.count_p1 == 10
         witnessless = [n for n in range(3, 31) if naive_witness(n) is None]
         assert witnessless == [3, 5, 7, 11, 13, 17, 19, 23, 25, 29]
         assert record.count_p3 <= record.count_p1
 
-    def test_chain_ordering(self, table):
+    def test_chain_ordering(self):
         for x in (16, 30, 100, 1000, 10**4):
-            r = run_chain_census(x, table)
+            r = run_chain_census(x)
             assert (
                 r.count_rough_small_tau <= r.count_p3 <= r.count_p2 <= r.count_p1
             )
 
     @pytest.mark.parametrize("x", [30, 200, 1000, 2500])
-    def test_every_field_matches_brute_force(self, table, x):
+    def test_every_field_matches_brute_force(self, x):
         z, c1, c2, c3, c_rst, c_rough, c_excess = brute_census_counts(x)
-        r = run_chain_census(x, table)
+        r = run_chain_census(x)
         assert r.z == z
         assert (r.count_p1, r.count_p2, r.count_p3) == (c1, c2, c3)
         assert r.count_rough_small_tau == c_rst
         assert r.count_rough == c_rough
         assert r.count_excess_tau == c_excess
 
-    def test_reference_fields(self, table):
-        r = run_chain_census(1000, table)
+    def test_reference_fields(self):
+        r = run_chain_census(1000)
         assert r.euler_gamma == pytest.approx(0.577215664901532, abs=1e-12)
         assert r.theorem_rhs == pytest.approx(
             math.exp(-EULER_GAMMA) / 2 * 1000 / math.log(math.log(1000)), rel=1e-12
@@ -91,14 +91,12 @@ class TestRunChainCensus:
             math.exp(-EULER_GAMMA) * 1000 / math.log(r.z), rel=1e-12
         )
 
-    def test_domain(self, table):
+    def test_domain(self):
         with pytest.raises(ValueError):
-            run_chain_census(15, table)
-        with pytest.raises(ValueError):
-            run_chain_census(table.limit + 1, table)
+            run_chain_census(15)
 
-    def test_chain_to_one_million(self, table):
-        r = run_chain_census(10**6, table)
+    def test_chain_to_one_million(self):
+        r = run_chain_census(10**6)
         assert r.count_rough_small_tau <= r.count_p3 <= r.count_p2 <= r.count_p1
         assert (r.z, r.count_p1, r.count_p2, r.count_p3) == (1315, 217293, 197074, 171946)
         assert r.count_rough_small_tau == r.count_rough == 78284
@@ -107,7 +105,7 @@ class TestRunChainCensus:
         assert r.mertens_rhs == pytest.approx(7.82e4, rel=5e-3)
 
     def test_record_at_two_million(self):
-        r = run_chain_census(2 * 10**6, build_factor_table(2 * 10**6))
+        r = run_chain_census(2 * 10**6)
         assert (r.z, r.count_p1, r.count_p2, r.count_p3) == (1505, 429380, 389674, 338190)
         assert r.count_rough_small_tau == r.count_rough == 148694
         assert r.count_excess_tau == 136162
@@ -119,50 +117,65 @@ class TestBlockedPass:
     LIMIT = 3 * 10**4
 
     @pytest.fixture(scope="class")
-    def reference(self, table):
+    def reference(self):
         rows = []
         for n in range(3, self.LIMIT + 1):
-            rep = witness_report(n, table)
+            rep = witness_report(n)
             rows.append(
-                (_factorize(n, table.spf)[0][1], tau(n, table), tau_of_square(n, table),
+                (naive_spf(n), _factorize(n)[0][1], tau(n), tau_of_square(n),
                  rep.p1, rep.p2, rep.p3)
             )
         return rows
 
     @pytest.mark.parametrize("block", [997, 4099, numtheory._BLOCK])
-    def test_every_n_matches_witness_report(self, table, reference, monkeypatch, block):
+    def test_every_n_matches_witness_report(self, reference, monkeypatch, block):
         monkeypatch.setattr(numtheory, "_BLOCK", block)
         rows = []
-        for start, spf, e, tau_n, tau_n2 in numtheory._divisor_blocks(3, self.LIMIT + 1, table):
+        for start, spf, e, tau_n, tau_n2, rest in numtheory._divisor_blocks(3, self.LIMIT + 1):
             assert start == 3 + len(rows)
-            p1, p2, p3 = _block_predicates(start, spf, e, tau_n, tau_n2, table)
-            rows.extend(zip(e.tolist(), tau_n.tolist(), tau_n2.tolist(),
+            p1, p2, p3 = _block_predicates(start, spf, e, tau_n, tau_n2, rest)
+            rows.extend(zip(spf.tolist(), e.tolist(), tau_n.tolist(), tau_n2.tolist(),
                             p1.tolist(), p2.tolist(), p3.tolist()))
         assert len(rows) == len(reference)
         mismatched = [n for n, got, want in zip(range(3, self.LIMIT + 1), rows, reference) if got != want]
         assert not mismatched
 
+    def test_residue_scan_sees_the_full_factorisation(self, monkeypatch):
+        # no residue n <= LIMIT has a witness, so p1 alone would not notice a
+        # dropped factor: the prime the sieve leaves over must rejoin n // rest
+        seen = []
+
+        def spy(n, factors):
+            seen.append((n, factors))
+            return witnesses(n, factors)
+
+        witnesses = census._witnesses
+        monkeypatch.setattr(census, "_witnesses", spy)
+        for start, *arrays in numtheory._divisor_blocks(3, self.LIMIT + 1):
+            _block_predicates(start, *arrays)
+        assert any(factors[-1][0] ** 2 > n for n, factors in seen)
+        assert all(factors == _factorize(n) for n, factors in seen)
+
     def test_residue_scan_finds_a_witness_beyond_d_max(self):
         # the only n <= 10^7 whose witness the d_max test misses: d_max = n²/19
         # has tau 18 < 19, but d = n²/23 has tau 24 >= 23
         n = 19 * 23**4
-        t = build_factor_table(n)
-        [(start, spf, e, tau_n, tau_n2)] = numtheory._divisor_blocks(n, n + 1, t)
+        [(start, spf, e, tau_n, tau_n2, rest)] = numtheory._divisor_blocks(n, n + 1)
         p2, _, refuted = numtheory._chain_tests(spf, e, tau_n, tau_n2)
         assert not p2[0] and not refuted[0]
-        p1, _, _ = _block_predicates(start, spf, e, tau_n, tau_n2, t)
+        p1, _, _ = _block_predicates(start, spf, e, tau_n, tau_n2, rest)
         assert not p1[0]
 
-    def test_census_independent_of_block_size(self, table, monkeypatch):
-        base = run_chain_census(10**5, table)
+    def test_census_independent_of_block_size(self, monkeypatch):
+        base = run_chain_census(10**5)
         for block in (997, 4099):
             monkeypatch.setattr(numtheory, "_BLOCK", block)
-            assert run_chain_census(10**5, table) == base
+            assert run_chain_census(10**5) == base
 
 
 class TestTheoremReport:
-    def test_report_reports_and_never_asserts(self, table):
-        rep = theorem_report(10**4, table)
+    def test_report_reports_and_never_asserts(self):
+        rep = theorem_report(10**4)
         assert rep.record.x == 10**4
         assert rep.product_reference == pytest.approx(
             10**4 * rep.mertens_density, rel=1e-12
@@ -175,8 +188,8 @@ class TestTheoremReport:
         assert any("never asserted" in note for note in rep.notes)
         assert "passes" not in json.dumps(rep.as_dict())
 
-    def test_structured_mirror(self, table):
-        rep = theorem_report(100, table)
+    def test_structured_mirror(self):
+        rep = theorem_report(100)
         d = rep.as_dict()
         assert set(d) >= set(CENSUS_CSV_HEADER.split(","))
         assert isinstance(d["notes"], list) and d["notes"]
@@ -189,8 +202,8 @@ class TestCsvJson:
             "count_rough,count_excess_tau,theorem_rhs,mertens_rhs"
         )
 
-    def test_row_layout(self, table):
-        r = run_chain_census(30, table)
+    def test_row_layout(self):
+        r = run_chain_census(30)
         row = census_csv_row(r)
         fields = row.split(",")
         assert len(fields) == 10
@@ -198,8 +211,8 @@ class TestCsvJson:
         # floats carry six significant digits
         assert fields[8] == f"{r.theorem_rhs:.6g}"
 
-    def test_json_mirror(self, table):
-        r = run_chain_census(30, table)
+    def test_json_mirror(self):
+        r = run_chain_census(30)
         d = census_json_dict(r)
         assert list(d)[:-1] == CENSUS_CSV_HEADER.split(",")
         assert d["count_p1"] == 10

@@ -19,11 +19,13 @@ from mondrian.numtheory import (
     tau_summatory,
     witness_report,
     ROUGH_SAFE_LIMIT,
+    _factorize,
     _primes_upto,
     _tau_threshold,
 )
 from oracles import (
     naive_divisors,
+    naive_factorization,
     naive_is_rough,
     naive_predicates,
     naive_spf,
@@ -52,95 +54,114 @@ class TestFactorTable:
         with pytest.raises(ValueError):
             build_factor_table(1)
 
-    def test_invariants_against_trial_division(self, table):
+    def test_invariants_against_trial_division(self):
+        table = build_factor_table(3000)
         for m in range(2, 3000):
             p = int(table.spf[m])
             assert p == naive_spf(m)
             assert m % p == 0
 
-    def test_spf_fixed_point_iff_prime(self, table):
+    def test_spf_fixed_point_iff_prime(self):
+        table = build_factor_table(2000)
         for m in range(2, 2000):
             is_prime = naive_spf(m) == m
             assert (int(table.spf[m]) == m) == is_prime
 
 
-class TestTau:
-    def test_examples(self, table):
-        assert tau(1, table) == 1
-        assert tau(12, table) == len(naive_divisors(12)) == 6
-        assert tau(36, table) == len(naive_divisors(36)) == 9
+class TestFactorize:
+    def test_matches_smallest_prime_factor_division(self):
+        for n in range(1, 10**4 + 1):
+            assert _factorize(n) == naive_factorization(n), n
 
-    def test_out_of_range(self, table):
+    @pytest.mark.parametrize("p", [999983, 1000003, 1099511627689, 1099511627791])
+    def test_large_primes(self, p):
+        # the primes on either side of 10**6 and of 2**40
+        assert _factorize(p) == [(p, 1)]
+
+    @pytest.mark.parametrize("p", [997, 1009, 1048573, 1048583])
+    def test_prime_squares(self, p):
+        # the squares on either side of 10**6 and of 2**40
+        assert _factorize(p * p) == [(p, 2)]
+
+    def test_the_residue_witness_beyond_d_max(self):
+        assert _factorize(19 * 23**4) == [(19, 1), (23, 4)]
+
+
+class TestTau:
+    def test_examples(self):
+        assert tau(1) == 1
+        assert tau(12) == len(naive_divisors(12)) == 6
+        assert tau(36) == len(naive_divisors(36)) == 9
+
+    def test_out_of_range(self):
         with pytest.raises(ValueError):
-            tau(0, table)
-        with pytest.raises(ValueError):
-            tau(table.limit + 1, table)
+            tau(0)
 
     @given(st.integers(min_value=1, max_value=5000))
-    def test_matches_enumeration(self, table, n):
-        assert tau(n, table) == naive_tau(n)
+    def test_matches_enumeration(self, n):
+        assert tau(n) == naive_tau(n)
 
 
 class TestTauOfSquare:
-    def test_examples(self, table):
-        assert tau_of_square(1, table) == 1
-        assert tau_of_square(6, table) == naive_tau(36) == 9
-        assert tau_of_square(12, table) == naive_tau(144) == 15
+    def test_examples(self):
+        assert tau_of_square(1) == 1
+        assert tau_of_square(6) == naive_tau(36) == 9
+        assert tau_of_square(12) == naive_tau(144) == 15
 
     @given(st.integers(min_value=1, max_value=900))
-    def test_matches_direct_enumeration(self, table, n):
-        assert tau_of_square(n, table) == naive_tau(n * n)
+    def test_matches_direct_enumeration(self, n):
+        assert tau_of_square(n) == naive_tau(n * n)
 
-    def test_square_bound_property(self, table):
+    def test_square_bound_property(self):
         for n in range(1, 10**4 + 1):
-            assert tau_of_square(n, table) <= tau(n, table) ** 2
+            assert tau_of_square(n) <= tau(n) ** 2
 
 
 class TestDivisors:
-    def test_examples(self, table):
-        assert divisors(1, table) == [1]
-        assert divisors(7, table) == [1, 7]
-        assert divisors(36, table) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
+    def test_examples(self):
+        assert divisors(1) == [1]
+        assert divisors(7) == [1, 7]
+        assert divisors(36) == [1, 2, 3, 4, 6, 9, 12, 18, 36]
 
     @given(st.integers(min_value=1, max_value=3000))
-    def test_matches_enumeration_and_tau(self, table, n):
-        ds = divisors(n, table)
+    def test_matches_enumeration_and_tau(self, n):
+        ds = divisors(n)
         assert ds == naive_divisors(n)
-        assert len(ds) == tau(n, table)
+        assert len(ds) == tau(n)
 
 
 class TestWitnessReport:
-    def test_witnessless_small_prime(self, table):
-        r = witness_report(3, table)
+    def test_witnessless_small_prime(self):
+        r = witness_report(3)
         assert r.witness is None and r.p1
 
-    def test_smallest_witness_for_six(self, table):
-        r = witness_report(6, table)
+    def test_smallest_witness_for_six(self):
+        r = witness_report(6)
         assert r.witness == 12
         assert not r.p1
         # every smaller proper divisor of 36 fails the inequality
         for d in [1, 2, 3, 4, 6, 9]:
             assert d * naive_tau(d) < 36
 
-    def test_prime_power_witnessless(self, table):
-        r = witness_report(25, table)
+    def test_prime_power_witnessless(self):
+        r = witness_report(25)
         assert r.witness is None
         # the maximum of d*tau(d) over proper divisors of 625 is 125*4 = 500
         assert max(d * naive_tau(d) for d in [1, 5, 25, 125]) == 500
 
-    def test_all_three_predicates_for_eleven(self, table):
-        r = witness_report(11, table)
+    def test_all_three_predicates_for_eleven(self):
+        r = witness_report(11)
         assert r.p1 and r.p2 and r.p3
 
-    def test_against_naive_enumeration(self, table):
+    def test_against_naive_enumeration(self):
         for n in range(3, 260):
-            r = witness_report(n, table)
+            r = witness_report(n)
             assert r.witness == naive_witness(n), n
             assert (r.p1, r.p2, r.p3) == naive_predicates(n), n
 
-    def test_witness_is_proper_divisor_with_inequality(self, table):
+    def test_witness_is_proper_divisor_with_inequality(self):
         for n in range(3, 400):
-            r = witness_report(n, table)
+            r = witness_report(n)
             if r.witness is not None:
                 d = r.witness
                 assert (n * n) % d == 0 and d != n * n
@@ -148,41 +169,38 @@ class TestWitnessReport:
 
     @given(st.integers(min_value=3, max_value=10**5))
     @settings(max_examples=300)
-    def test_reduction_chain(self, table, n):
-        r = witness_report(n, table)
+    def test_reduction_chain(self, n):
+        r = witness_report(n)
         if r.p3:
             assert r.p2
         if r.p2:
             assert r.p1
         assert (r.witness is None) == r.p1
 
-    def test_domain_guards(self, table):
+    def test_domain_guards(self):
         with pytest.raises(ValueError):
-            witness_report(2, table)
-        with pytest.raises(ValueError):
-            witness_report(table.limit + 1, table)
+            witness_report(2)
 
     def test_overflow_guard(self):
-        t = build_factor_table(10**6 + 2)
         with pytest.raises(ValueError):
-            witness_report(10**6 + 1, t)
+            witness_report(10**6 + 1)
 
 
 class TestIsRough:
-    def test_examples(self, table):
-        assert is_rough(1, 1000, table)
-        assert is_rough(143, 10, table)
-        assert not is_rough(143, 11, table)
+    def test_examples(self):
+        assert is_rough(1, 1000)
+        assert is_rough(143, 10)
+        assert not is_rough(143, 11)
 
     @given(st.integers(min_value=1, max_value=4000), st.sampled_from([1, 2, 5, 10, 100]))
-    def test_matches_divisor_definition(self, table, n, z):
-        assert is_rough(n, z, table) == naive_is_rough(n, z)
+    def test_matches_divisor_definition(self, n, z):
+        assert is_rough(n, z) == naive_is_rough(n, z)
 
-    def test_square_equivalence(self, table):
-        # n z-rough iff n² z-rough, while n² stays inside the table
+    def test_square_equivalence(self):
+        # n z-rough iff n² z-rough
         for n in range(1, 1000):
             for z in (2, 10, 100):
-                assert is_rough(n, z, table) == is_rough(n * n, z, table)
+                assert is_rough(n, z) == is_rough(n * n, z)
 
 
 class TestRoughCount:
@@ -284,20 +302,20 @@ class TestTauSummatory:
 
 
 class TestCensusExcessTau:
-    def test_desk_example(self, table):
+    def test_desk_example(self):
         # threshold at x=10 is ~1.9204, so every n in 3..10 qualifies
         expected = sum(1 for n in range(3, 11) if naive_tau(n) > _tau_threshold(10))
         assert expected == 8
-        assert census_excess_tau(10, table) == 8
+        assert census_excess_tau(10) == 8
 
-    def test_matches_direct_filter(self, table):
+    def test_matches_direct_filter(self):
         for x in (50, 100, 500):
             threshold = _tau_threshold(x)
             expected = sum(1 for n in range(3, x + 1) if naive_tau(n) > threshold)
-            assert census_excess_tau(x, table) == expected
+            assert census_excess_tau(x) == expected
 
     @given(st.integers(min_value=16, max_value=10**5))
     @settings(max_examples=30)
-    def test_markov_bound(self, table, x):
+    def test_markov_bound(self, x):
         threshold = _tau_threshold(x)
-        assert census_excess_tau(x, table) <= tau_summatory(x) / threshold
+        assert census_excess_tau(x) <= tau_summatory(x) / threshold

@@ -260,9 +260,9 @@ class TestAgainstSeedKernel:
             solve_m(n)
         self._assert_same_as_seed(searched)
 
-    def test_check_perfect(self, searched, table):
+    def test_check_perfect(self, searched):
         for n in range(3, 61):
-            check_perfect(n, table)
+            check_perfect(n)
         self._assert_same_as_seed(searched)
 
 
@@ -385,12 +385,12 @@ class TestSolveM:
             rep = verify_tiling(cert)
             assert rep.valid and rep.defect == val == cert.defect
 
-    def test_filter_consistency_with_solver(self, table):
+    def test_filter_consistency_with_solver(self):
         # witnessless n must have a strictly positive minimum defect
         from mondrian.numtheory import witness_report
 
         for n in range(3, 13):
-            if witness_report(n, table).p1:
+            if witness_report(n).p1:
                 assert solve_m(n)[0] > 0
 
     def test_budget_error_carries_bounds(self):
@@ -408,28 +408,28 @@ class TestSolveM:
 
 
 class TestCheckPerfect:
-    def test_filter_excluded(self, table):
+    def test_filter_excluded(self):
         for n in (3, 5):
-            out = check_perfect(n, table)
+            out = check_perfect(n)
             assert out.verdict is PerfectVerdict.FILTER_EXCLUDED
             assert out.witness_d is None and out.certificate is None
 
-    def test_six_exhausted(self, table):
-        out = check_perfect(6, table)
+    def test_six_exhausted(self):
+        out = check_perfect(6)
         assert out.verdict is PerfectVerdict.EXHAUSTED
         assert out.witness_d == 12
         assert out.certificate is None
 
-    def test_candidate_identities(self, table):
+    def test_candidate_identities(self):
         # every attempted configuration satisfies d*s = n^2 and the
         # congruence-class refinement s <= ceil(tau(d)/2) <= tau(d)
         for n in range(3, 40):
-            for d, s, rects in _perfect_candidates(n, table):
+            for d, s, rects in _perfect_candidates(n):
                 assert d * s == n * n
-                tau_d = tau(d, table)
+                tau_d = tau(d)
                 assert s <= len(rects) <= (tau_d + 1) // 2 <= tau_d
 
-    def test_candidates_are_every_fitting_witness(self, table):
+    def test_candidates_are_every_fitting_witness(self):
         # a skipped candidate would turn into a silently wrong Exhausted verdict
         for n in range(3, 121):
             n2 = n * n
@@ -440,20 +440,20 @@ class TestCheckPerfect:
                 and d * naive_tau(d) >= n2
                 and len(rects_with_area(d, n)) >= n2 / d
             ]
-            assert [d for d, _, _ in _perfect_candidates(n, table)] == expected, n
+            assert [d for d, _, _ in _perfect_candidates(n)] == expected, n
 
-    def test_small_range_never_perfect(self, table):
+    def test_small_range_never_perfect(self):
         for n in range(3, 15):
-            assert check_perfect(n, table).verdict is not PerfectVerdict.PERFECT_FOUND
+            assert check_perfect(n).verdict is not PerfectVerdict.PERFECT_FOUND
 
-    def test_budget_error_lists_unresolved_areas(self, table):
+    def test_budget_error_lists_unresolved_areas(self):
         # n=12 is the smallest n whose check actually reaches the cover search
         with pytest.raises(BudgetExceededError) as info:
-            check_perfect(12, table, node_budget=1)
+            check_perfect(12, node_budget=1)
         assert 72 in info.value.unresolved
 
-    def test_nodes_accounted_when_search_runs(self, table):
-        out = check_perfect(12, table)
+    def test_nodes_accounted_when_search_runs(self):
+        out = check_perfect(12)
         assert out.verdict is PerfectVerdict.EXHAUSTED
         assert out.nodes_searched > 0
 
@@ -512,13 +512,13 @@ class TestCertificatesAreVerified:
             assert main(["solve", "--n", "5", "--format", fmt]) == 3
             assert capsys.readouterr().out == ""
 
-    def test_check_perfect(self, monkeypatch, table, capsys):
+    def test_check_perfect(self, monkeypatch, capsys):
         def claims_every_set(engine):
             return Tiling(engine.n, tuple(Placement(r, 0, 0) for r in engine.pieces), 0)
 
         monkeypatch.setattr(tiling._CoverSearch, "search", claims_every_set)
         with pytest.raises(InternalConsistencyError):
-            check_perfect(12, table)  # the smallest n whose candidates reach the kernel
+            check_perfect(12)  # the smallest n whose candidates reach the kernel
         assert main(["perfect", "--n", "12"]) == 3
         assert capsys.readouterr().out == ""
 
