@@ -114,7 +114,7 @@ def _block_predicates(
     """(p1, p2, p3) arrays for the block of n from ``start`` that ``_divisor_blocks`` gave.
 
     p2 settles p1 and a witness at d_max refutes it; only the n left, about
-    2 %, need the full divisor scan.  Trial division factors n // rest, whose
+    2 %, need the co-divisor scan.  Trial division factors n // rest, whose
     primes are all sieved ones, and rest, 1 or a prime above them, goes last.
     """
     p2, p3, refuted = _chain_tests(spf, e, tau_n, tau_n2)
@@ -134,7 +134,7 @@ def run_chain_census(x: int) -> CensusRecord:
     spf, tau(n) and tau(n²) for a block of n from the primes up to sqrt x, so
     memory stays O(sqrt x + block) with no table over [2, x]; the predicates
     and counts come from those arrays, and only the residue n get a per-n
-    divisor scan.
+    co-divisor scan.
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")

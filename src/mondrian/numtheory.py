@@ -36,8 +36,8 @@ __all__ = [
     "census_excess_tau",
 ]
 
-# d*tau(d) stays below 2**64 for n up to this bound (d < 1e12, tau(d) < 1e5),
-# so results remain portable to fixed-width implementations of this interface.
+# upper end of witness_report's domain, and so of check_perfect's: past it a
+# candidate tiling is a board of more than 10**12 cells, beyond the search
 WITNESS_SAFE_LIMIT = 10**6
 
 _E_TO_E = math.exp(math.e)
@@ -130,12 +130,10 @@ def tau_of_square(n: int) -> int:
     return result
 
 
-def _divisor_tau_pairs(factors: list[tuple[int, int]], square: bool) -> list[tuple[int, int]]:
-    """All (d, tau(d)) for d dividing n (or n² when ``square``), unsorted."""
+def _divisor_tau_pairs(factors: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """All (d, tau(d)) for d dividing the n of ``factors``, unsorted."""
     pairs = [(1, 1)]
     for p, e in factors:
-        if square:
-            e *= 2
         powers = [(p**k, k + 1) for k in range(e + 1)]
         pairs = [(d * q, td * tq) for d, td in pairs for q, tq in powers]
     return pairs
@@ -144,7 +142,7 @@ def _divisor_tau_pairs(factors: list[tuple[int, int]], square: bool) -> list[tup
 def divisors(n: int) -> list[int]:
     """Ascending list of all positive divisors of n."""
     _check_range(n)
-    return sorted(d for d, _ in _divisor_tau_pairs(_factorize(n), square=False))
+    return sorted(d for d, _ in _divisor_tau_pairs(_factorize(n)))
 
 
 @dataclass(frozen=True)
@@ -166,11 +164,34 @@ class WitnessReport:
 
 
 def _witnesses(n: int, factors: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """(d, tau(d)) for each proper divisor d of n² with d·tau(d) >= n², ascending d."""
+    """(d, tau(d)) for each proper divisor d of n² with d·tau(d) >= n², ascending d.
+
+    d is a witness iff tau(d) >= m for its co-divisor m = n²/d, and tau(d) <
+    tau(n²) for proper d, so only 2 <= m < tau(n²) can qualify.  Taking p^k
+    out of n² turns p's factor 2a + 1 of tau(n²) into 2a - k + 1.  The search
+    runs depth first over n's ascending primes; m grows and tau(n²/m) shrinks
+    along a branch, so a branch ends once m > tau(n²/m).
+    """
+    found = []
+
+    def walk(i: int, m: int, t: int) -> None:
+        for p, a in factors[i:]:
+            i += 1
+            if m * p > t:
+                return  # every later prime is larger still
+            mk, tk = m, t
+            for f in range(2 * a, 0, -1):  # p's factor of tau(n²/mk) drops to f
+                mk *= p
+                tk = tk // (f + 1) * f
+                if mk > tk:
+                    break
+                found.append((mk, tk))
+                walk(i, mk, tk)
+
+    walk(0, 1, math.prod([2 * a + 1 for _, a in factors]))
     n2 = n * n
-    for d, tau_d in sorted(_divisor_tau_pairs(factors, square=True)):
-        if d != n2 and d * tau_d >= n2:
-            yield d, tau_d
+    for m, tau_d in sorted(found, reverse=True):
+        yield n2 // m, tau_d
 
 
 def _chain_tests(p_min, e_min, tau_n, tau_n2):
@@ -190,7 +211,7 @@ def _chain_tests(p_min, e_min, tau_n, tau_n2):
 
 
 def _chain_predicates(n: int, factors: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
-    """(p1, p2, p3) of ``WitnessReport`` for n >= 2, scanning divisors only when needed."""
+    """(p1, p2, p3) of ``WitnessReport`` for n >= 2, with a co-divisor scan only when needed."""
     p_min, e_min = factors[0]
     tau_n = tau_n2 = 1
     for _, e in factors:
@@ -209,9 +230,7 @@ def witness_report(n: int) -> WitnessReport:
     """Search the proper divisors of n² for the smallest filter witness."""
     _check_range(n, minimum=3)
     if n > WITNESS_SAFE_LIMIT:
-        raise ValueError(
-            f"n={n} exceeds the 64-bit overflow guard ({WITNESS_SAFE_LIMIT}) for d*tau(d)"
-        )
+        raise ValueError(f"n={n} exceeds the witness_report domain limit {WITNESS_SAFE_LIMIT}")
     factors = _factorize(n)
     p1, p2, p3 = _chain_predicates(n, factors)
     witness = None if p1 else next(_witnesses(n, factors))[0]

@@ -9,6 +9,7 @@ the kernel it checks returns.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from mondrian.tiling import Placement, Tiling
@@ -77,6 +78,23 @@ def naive_witness(n: int) -> int | None:
         if d * tau_d >= n2:
             return d
     return None
+
+
+def brute_witnesses(n: int) -> list[tuple[int, int]]:
+    """(d, tau(d)) for every proper divisor d of n² with d*tau(d) >= n², ascending d.
+
+    Every exponent vector of n² is enumerated; tau(d) is the product of
+    (k + 1) over d's exponents k.
+    """
+    fac = naive_factorization(n)
+    n2 = n * n
+    out = []
+    for exps in itertools.product(*(range(2 * a + 1) for _, a in fac)):
+        d = math.prod(p**k for (p, _), k in zip(fac, exps))
+        tau_d = math.prod(k + 1 for k in exps)
+        if d != n2 and d * tau_d >= n2:
+            out.append((d, tau_d))
+    return sorted(out)
 
 
 def naive_predicates(n: int) -> tuple[bool, bool, bool]:

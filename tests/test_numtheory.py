@@ -22,8 +22,10 @@ from mondrian.numtheory import (
     _factorize,
     _primes_upto,
     _tau_threshold,
+    _witnesses,
 )
 from oracles import (
+    brute_witnesses,
     naive_divisors,
     naive_factorization,
     naive_is_rough,
@@ -184,6 +186,36 @@ class TestWitnessReport:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             witness_report(10**6 + 1)
+
+
+class TestWitnesses:
+    """``_witnesses`` searches co-divisors; the oracle enumerates all of n²'s divisors."""
+
+    def test_matches_brute_force_to_3000(self):
+        for n in range(2, 3001):
+            assert list(_witnesses(n, _factorize(n))) == brute_witnesses(n), n
+
+    def test_equality_cases(self):
+        # d*tau(d) == n² exactly: the co-divisor m equals tau(d)
+        assert (36, 9) in list(_witnesses(18, _factorize(18)))
+        assert (128, 8) in list(_witnesses(32, _factorize(32)))
+
+    @pytest.mark.parametrize(
+        "n, count",
+        [
+            (19 * 23**4, 1),  # the one residue n below 10**7 with a witness
+            (720720, 202),
+            (5040**2, 165),
+            (2**10 * 3**6 * 5**3, 85),
+            (9699690, 211),
+            (2**19, 5),
+            (2 * 997**2, 2),  # 997**4 drops the prime 2 from n² altogether
+        ],
+    )
+    def test_structured_n(self, n, count):
+        got = list(_witnesses(n, _factorize(n)))
+        assert got == brute_witnesses(n)
+        assert len(got) == count
 
 
 class TestIsRough:
