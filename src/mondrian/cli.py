@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, dest="node_budget",
-                       help="search node budget (placement attempts)")
+                       help="search node budget (placements of pieces that fit and that "
+                            "the corner symmetry rule allows)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text",
                        dest="output_format")
         p.add_argument("--out", type=Path, default=None, dest="output_path",

@@ -25,6 +25,15 @@ Key search facts the code relies on:
   is never tried.  One no wider than the run and no taller than the rows left
   always fits: a piece covering a cell below the run would have had to start
   at or before the first empty cell's row, and so would cover part of the run.
+* Each of the square's 8 symmetries maps a tiling to a tiling of the same
+  pieces and permutes the four corners.  Take the corner piece that sorts
+  first (descending area, then short side, then long side) and a corner it
+  covers.  Exactly two symmetries move that corner to (0, 0); they differ by
+  the diagonal reflection, so one of them also leaves the piece wide.  Its
+  image has that piece at (0, 0), wide, and no corner piece sorted before
+  it.  So on top of the width >= height rule, a piece sorted before the one
+  at (0, 0) may be barred from the other three corners: every tileable set
+  keeps a tiling, and only branches that cannot change a verdict are cut.
 """
 
 from __future__ import annotations
@@ -227,7 +236,9 @@ class _CoverSearch:
     v = 2*i), so visiting the set bits of a variant mask from low to high
     visits pieces by descending area, the unrotated variant first.  A node is
     one placement attempt on a variant that fits the run and the remaining
-    height; ``nodes`` counts them and ``budget`` caps them.
+    height and that the corner rule allows (a piece sorted before the one at
+    cell 0 never covers another corner); ``nodes`` counts them and ``budget``
+    caps them.
     """
 
     def __init__(self, n: int, pieces: tuple[Rect, ...], budget: int | None = None):
@@ -251,6 +262,8 @@ class _CoverSearch:
                 self.avail |= bit
                 if width >= height:
                     self.root |= bit
+        # by_width[k] / by_height[k]: the variants of width / height exactly k
+        self.by_width, self.by_height = by_width, by_height
         # fitw[k] / fith[k]: the variants of width / height at most k
         self.fitw = list(itertools.accumulate(by_width, operator.or_))
         self.fith = list(itertools.accumulate(by_height, operator.or_))
@@ -259,41 +272,53 @@ class _CoverSearch:
         n = self.n
         full = (1 << (n * n)) - 1
         masks, fitw, fith = self.masks, self.fitw, self.fith
+        by_width, by_height = self.by_width, self.by_height
         stop = 0 if self.budget is None else self.budget + 1  # nodes never reaches 0
         nodes = 0
-        occ, avail, cell = 0, self.avail, 0
-        cand = avail & self.root  # the board is empty, so every variant fits
         trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
-        while True:
-            if not cand:
-                if not trail:
+        roots = self.avail & self.root  # the board is empty, so every variant fits
+        while roots:
+            cand = roots & -roots  # the one variant this pass places at cell 0
+            roots ^= cand
+            # the variants of the pieces sorted before it; none may cover another corner
+            first = (1 << ((cand.bit_length() - 1) & ~1)) - 1
+            occ, avail, cell = 0, self.avail, 0
+            while True:
+                if not cand:
+                    if not trail:
+                        break
+                    occ, avail, cand, cell, _ = trail.pop()
+                    continue
+                low = cand & -cand
+                cand ^= low
+                v = low.bit_length() - 1
+                nodes += 1
+                if nodes == stop:
                     self.nodes = nodes
-                    return None
-                occ, avail, cand, cell, _ = trail.pop()
-                continue
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            nodes += 1
-            if nodes == stop:
-                self.nodes = nodes
-                raise BudgetExceededError(f"node budget {self.budget} exhausted", nodes=nodes)
-            trail.append((occ, avail, cand, cell, v))
-            occ |= masks[v] << cell
-            if occ == full:
-                break
-            avail &= ~(3 << (v & ~1))
-            nxt = occ + 1
-            cell = (occ ^ nxt).bit_length() - 1
-            run = n - cell % n
-            ahead = occ & nxt  # the occupied cells after the first empty one
-            if ahead:
-                gap = (ahead & -ahead).bit_length() - 1 - cell
-                if gap < run:
-                    run = gap
-            cand = avail & fitw[run] & fith[n - cell // n]
+                    raise BudgetExceededError(f"node budget {self.budget} exhausted", nodes=nodes)
+                trail.append((occ, avail, cand, cell, v))
+                occ |= masks[v] << cell
+                if occ == full:
+                    self.nodes = nodes
+                    return self._tiling([level[4] for level in trail])
+                avail &= ~(3 << (v & ~1))
+                nxt = occ + 1
+                cell = (occ ^ nxt).bit_length() - 1
+                x = cell % n
+                rows = n - cell // n
+                run = n - x
+                ahead = occ & nxt  # the occupied cells after the first empty one
+                if ahead:
+                    gap = (ahead & -ahead).bit_length() - 1 - cell
+                    if gap < run:
+                        run = gap
+                cand = avail & fitw[run] & fith[rows]
+                if not x:  # the bottom-left corner
+                    cand &= ~(first & by_height[rows])
+                elif run == n - x and cand & first:  # the top-right or bottom-right corner
+                    cand &= ~(first & by_width[run] & (by_height[rows] if cell >= n else -1))
         self.nodes = nodes
-        return self._tiling([level[4] for level in trail])
+        return None
 
     def _tiling(self, placed: list[int]) -> Tiling:
         """Replay the placed variants from an empty board into the certificate."""
@@ -405,7 +430,8 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
 
     Raises ``BudgetExceededError`` once the search needs more than
     ``node_budget`` nodes; a node is one placement attempt on a variant that
-    fits the run and the remaining height.  The error carries the proven
+    fits the run and the remaining height and that the corner rule allows
+    (module docstring, fifth search fact).  The error carries the proven
     lower bound (the defect level being processed) and the trivial two-strip
     upper bound n(n-2).
     """
@@ -473,7 +499,8 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
     PerfectFound with a certificate that has passed ``verify_tiling``, or
     Exhausted.  ``nodes_searched`` counts the nodes of those searches; a node
     is one placement attempt on a variant that fits the run and the remaining
-    height, and more than ``node_budget`` of them raise ``BudgetExceededError``.
+    height and that the corner rule allows (module docstring, fifth search
+    fact), and more than ``node_budget`` of them raise ``BudgetExceededError``.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")

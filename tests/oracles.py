@@ -198,16 +198,19 @@ def naive_min_defect(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def seed_cover_search(n: int, pieces) -> tuple[Tiling | None, int]:
+def seed_cover_search(n: int, pieces, corners: bool = False) -> tuple[Tiling | None, int]:
     """The first tiling the cover kernel of the first release finds, or None,
     and the number of pieces it placed on the way.
 
     Kept as the differential reference for ``tiling._CoverSearch``: it visits
     every unused piece in both orientations at every node and rejects a
     misfit by a shift-and-AND test, in the same order (pieces by descending
-    area, the unrotated orientation first), so both must return the same
-    certificate for every piece set, and the kernel's node count must equal
-    the placements made here.
+    area, the unrotated orientation first).  With ``corners`` it also skips,
+    before counting it, every placement of a piece sorted before the piece at
+    (0, 0) that would touch another corner of the square; with that rule the
+    kernel must return the same certificate for every piece set, and its node
+    count must equal the placements made here.  Without it the verdict must
+    still agree.
     """
     pieces = tuple(sorted(pieces, key=lambda r: (-r.area, r.w, r.h)))
 
@@ -238,6 +241,7 @@ def seed_cover_search(n: int, pieces) -> tuple[Tiling | None, int]:
         max_w = n - x
         max_h = n - cell // n
         at_root = occ == 0
+        y = cell // n
         for idx in range(piece_count):
             if used & (1 << idx):
                 continue
@@ -246,10 +250,16 @@ def seed_cover_search(n: int, pieces) -> tuple[Tiling | None, int]:
                     continue
                 if at_root and width < height:
                     continue  # a diagonal reflection supplies the other orientation
+                if corners and not at_root and pieces.index(out[0].rect) > idx:
+                    top_right = y == 0 and x + width == n
+                    bottom_left = x == 0 and y + height == n
+                    bottom_right = x + width == n and y + height == n
+                    if top_right or bottom_left or bottom_right:
+                        continue  # a symmetry puts the first-sorted corner piece at (0, 0)
                 mask = base << cell
                 if mask & occ:
                     continue
-                out.append(Placement(pieces[idx], x, cell // n, rot))
+                out.append(Placement(pieces[idx], x, y, rot))
                 placed += 1
                 if rec(occ | mask, used | (1 << idx)):
                     return True

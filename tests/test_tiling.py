@@ -40,6 +40,28 @@ def R(a, b):
     return canonical_rect(a, b)
 
 
+def assert_canonical_corners(t):
+    """The piece at (0, 0) is wide or square, and no other corner piece sorts before it.
+
+    Pieces sort by descending area, then short side, then long side, as the
+    kernel numbers them; the corner pieces are read off the placements.
+    """
+    n = t.n
+
+    def covering(cx, cy):
+        (p,) = [p for p in t.placements if p.x <= cx < p.x + p.width and p.y <= cy < p.y + p.height]
+        return p
+
+    def key(p):
+        return (-p.rect.area, p.rect.w, p.rect.h)
+
+    origin = covering(0, 0)
+    assert origin.width >= origin.height, origin
+    for cx, cy in ((n - 1, 0), (0, n - 1), (n - 1, n - 1)):
+        other = covering(cx, cy)
+        assert key(other) >= key(origin), (cx, cy, other, origin)
+
+
 class TestCanonicalRect:
     def test_orientation_normalized(self):
         assert R(3, 2) == Rect(2, 3)
@@ -199,7 +221,9 @@ class TestExactCoverTile:
         pieces = data.draw(st.sampled_from(sets))
         found = exact_cover_tile(n, pieces)
         assert (found is not None) == naive_tiles(n, [(r.w, r.h) for r in pieces])
-        assert found is None or verify_tiling(found).valid
+        if found is not None:
+            assert verify_tiling(found).valid
+            assert_canonical_corners(found)
 
 
 class TestKernelVerdicts:
@@ -224,17 +248,22 @@ class TestKernelVerdicts:
             found = exact_cover_tile(n, [Rect(w, h) for w, h in sides])
             if (found is not None) != tileable:
                 changed.append((n, sides, tileable))
-            assert found is None or verify_tiling(found).valid
+            if found is not None:
+                assert verify_tiling(found).valid
+                assert_canonical_corners(found)
         assert not changed
 
 
 class TestAgainstSeedKernel:
-    """The cover kernel returns the seed kernel's certificate for every set the solvers try.
+    """The cover kernel agrees with the seed kernel on every set the solvers try.
 
-    Both visit pieces by descending area, the unrotated variant first, so a
-    kernel that skips or reorders a choice changes the certificate, even where
-    a symmetric twin keeps the verdict.  Its node count must equal the pieces
-    the seed kernel placed: a node is a placement that fits, never a misfit.
+    With its corner rule the seed kernel must return the kernel's certificate
+    and node count.  Both visit pieces by descending area, the unrotated
+    variant first, so a kernel that skips or reorders a choice changes the
+    certificate, even where a symmetric twin keeps the verdict.  Its node
+    count must equal the pieces the seed kernel placed: a node is a placement
+    that fits and that the corner rule allows, never a misfit.  The plain seed
+    kernel, without the corner rule, must give the same verdict.
     """
 
     @pytest.fixture
@@ -253,7 +282,8 @@ class TestAgainstSeedKernel:
     def _assert_same_as_seed(self, seen):
         assert seen
         for n, pieces, found, nodes in seen:
-            assert (found, nodes) == seed_cover_search(n, pieces), (n, pieces)
+            assert (found, nodes) == seed_cover_search(n, pieces, corners=True), (n, pieces)
+            assert (found is None) == (seed_cover_search(n, pieces)[0] is None), (n, pieces)
 
     def test_solve_m(self, searched):
         for n in range(3, 15):
@@ -384,6 +414,10 @@ class TestSolveM:
             val, cert = solve_m(n)
             rep = verify_tiling(cert)
             assert rep.valid and rep.defect == val == cert.defect
+
+    def test_certificates_are_canonical_at_the_corners(self):
+        for n in range(3, 17):
+            assert_canonical_corners(solve_m(n)[1])
 
     def test_filter_consistency_with_solver(self):
         # witnessless n must have a strictly positive minimum defect
