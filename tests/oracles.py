@@ -238,10 +238,10 @@ def seed_cover_search(n: int, pieces, corners: bool = False) -> tuple[Tiling | N
             return True
         cell = ((~occ) & (occ + 1)).bit_length() - 1
         x = cell % n
-        max_w = n - x
-        max_h = n - cell // n
-        at_root = occ == 0
         y = cell // n
+        max_w = n - x
+        max_h = n - y
+        at_root = occ == 0
         for idx in range(piece_count):
             if used & (1 << idx):
                 continue

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mondrian import tiling
+from mondrian.census import load_bfile
 from mondrian.cli import main
 from mondrian.errors import BudgetExceededError, InternalConsistencyError
 from mondrian.tiling import (
@@ -252,6 +253,29 @@ class TestKernelVerdicts:
                 assert verify_tiling(found).valid
                 assert_canonical_corners(found)
         assert not changed
+
+
+class TestComputedM:
+    """``data/computed_m.json`` records M(n) past the local b-file, computed here, not from OEIS.
+
+    Each certificate must replay through ``verify_tiling`` at the recorded
+    defect; that proves M(n) <= m.  The lower bound rests on the search that
+    produced the entry; a CI step recomputes n = 21 and compares.
+    """
+
+    RECORD = json.loads((Path(__file__).parent / "data" / "computed_m.json").read_text())
+
+    def test_certificates_replay(self, bfile_path):
+        known = load_bfile(bfile_path)
+        entries = self.RECORD["entries"]
+        assert [e["n"] for e in entries] == [21, 22, 23]
+        for e in entries:
+            assert e["n"] not in known
+            cert = tiling_from_json(json.dumps(e["certificate"]))
+            report = verify_tiling(cert)
+            assert report.valid, (e["n"], report.reason)
+            assert (cert.n, cert.defect, report.defect) == (e["n"], e["m"], e["m"])
+            assert_canonical_corners(cert)
 
 
 class TestAgainstSeedKernel:
