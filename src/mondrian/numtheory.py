@@ -210,31 +210,24 @@ def _chain_tests(p_min, e_min, tau_n, tau_n2):
     )
 
 
-def _chain_predicates(n: int, factors: list[tuple[int, int]]) -> tuple[bool, bool, bool]:
-    """(p1, p2, p3) of ``WitnessReport`` for n >= 2, with a co-divisor scan only when needed."""
-    p_min, e_min = factors[0]
-    tau_n = tau_n2 = 1
-    for _, e in factors:
-        tau_n *= e + 1
-        tau_n2 *= 2 * e + 1
-    p2, p3, refuted = _chain_tests(p_min, e_min, tau_n, tau_n2)
-    if p2:
-        # tau(d) < tau(n²) for proper d, so p2 settles p1 outright
-        return True, True, p3
-    if refuted:
-        return False, False, p3
-    return next(_witnesses(n, factors), None) is None, False, p3
-
-
 def witness_report(n: int) -> WitnessReport:
-    """Search the proper divisors of n² for the smallest filter witness."""
+    """Search the proper divisors of n² for the smallest filter witness.
+
+    p1 holds iff the witness scan finds nothing; p2 and p3 come from
+    ``_chain_tests`` on tau(n) and tau(n²).
+    """
     _check_range(n, minimum=3)
     if n > WITNESS_SAFE_LIMIT:
         raise ValueError(f"n={n} exceeds the witness_report domain limit {WITNESS_SAFE_LIMIT}")
     factors = _factorize(n)
-    p1, p2, p3 = _chain_predicates(n, factors)
-    witness = None if p1 else next(_witnesses(n, factors))[0]
-    return WitnessReport(n=n, witness=witness, p1=p1, p2=p2, p3=p3)
+    first = next(_witnesses(n, factors), None)
+    tau_n = tau_n2 = 1
+    for _, e in factors:
+        tau_n *= e + 1
+        tau_n2 *= 2 * e + 1
+    p2, p3, _ = _chain_tests(*factors[0], tau_n, tau_n2)
+    witness = None if first is None else first[0]
+    return WitnessReport(n=n, witness=witness, p1=first is None, p2=p2, p3=p3)
 
 
 def is_rough(n: int, z: int) -> bool:

@@ -3,11 +3,13 @@
 A tiling is a set of pairwise incongruent integer-sided rectangles covering
 the square exactly; its defect is max piece area minus min piece area.  The
 solver finds the minimum defect by iterating candidate defects and running an
-exact-cover backtracker over candidate piece sets.  The board lives in a
-single Python integer used as a bitboard, one bit per cell in row-major
-order, so "find the first uncovered cell" is a couple of bit operations, and
-the unused oriented pieces that can go there are the set bits of one more
-integer.
+exact-cover backtracker, the kernel ``_cover``, over candidate piece sets from
+the one enumerator ``_piece_sets``.  ``solve_m`` and ``check_perfect`` hand
+their sets to one driver, ``_first_tiling``, which spends the node budget and
+verifies what the kernel finds.  The board lives in a single Python integer
+used as a bitboard, one bit per cell in row-major order, so "find the first
+uncovered cell" is a couple of bit operations, and the unused oriented pieces
+that can go there are the set bits of one more integer.
 
 Key search facts the code relies on:
 
@@ -164,14 +166,6 @@ def rects_with_area(d: int, n: int) -> list[Rect]:
     return out
 
 
-def _area_candidates(n: int, lo: int, hi: int) -> list[Rect]:
-    """Fitting rects with area in [lo, hi], largest area first, then lexicographic."""
-    cands: list[Rect] = []
-    for area in range(hi, lo - 1, -1):
-        cands.extend(rects_with_area(area, n))
-    return cands
-
-
 def enumerate_piece_sets(n: int, lo: int, hi: int) -> Iterator[tuple[Rect, ...]]:
     """Every set of distinct fitting rects with areas in [lo, hi] summing to n².
 
@@ -181,16 +175,19 @@ def enumerate_piece_sets(n: int, lo: int, hi: int) -> Iterator[tuple[Rect, ...]]
     """
     if not 1 <= lo <= hi <= n * n:
         raise ValueError(f"need 1 <= lo <= hi <= n^2, got lo={lo}, hi={hi}, n={n}")
-    yield from _piece_sets(n, lo, hi, exact_spread=False)
+    cands = [r for area in range(hi, lo - 1, -1) for r in rects_with_area(area, n)]
+    yield from _piece_sets(n, cands, lo, hi, exact_spread=False)
 
 
-def _piece_sets_with_spread(n: int, lo: int, hi: int) -> Iterator[tuple[Rect, ...]]:
-    """Like enumerate_piece_sets but keeping only sets whose area range is exactly [lo, hi]."""
-    return _piece_sets(n, lo, hi, exact_spread=True)
+def _piece_sets(
+    n: int, cands: list[Rect], lo: int, hi: int, exact_spread: bool
+) -> Iterator[tuple[Rect, ...]]:
+    """Every set of distinct ``cands`` with areas summing to n², in lexicographic order.
 
-
-def _piece_sets(n: int, lo: int, hi: int, exact_spread: bool) -> Iterator[tuple[Rect, ...]]:
-    cands = _area_candidates(n, lo, hi)
+    ``cands`` are the fitting rects with area in [lo, hi], largest area first,
+    then short side, so each set comes out in ``_sorted_pieces`` order.  With
+    ``exact_spread`` only the sets holding both area hi and area lo are kept.
+    """
     areas = [r.area for r in cands]
     suffix = [0] * (len(cands) + 1)
     for i in range(len(cands) - 1, -1, -1):
@@ -229,109 +226,92 @@ def _sorted_pieces(pieces: Iterable[Rect]) -> tuple[Rect, ...]:
     return tuple(sorted(pieces, key=lambda r: (-r.area, r.w, r.h)))
 
 
-class _CoverSearch:
-    """One exact-cover run: place every piece exactly once, first found wins.
+def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling | None, int]:
+    """The first tiling of the n x n square by ``pieces``, each used once, or None; and the nodes.
 
-    Variant v = 2*i + rotated is piece i in one orientation (a square has only
-    v = 2*i), so visiting the set bits of a variant mask from low to high
-    visits pieces by descending area, the unrotated variant first.  A node is
-    one placement attempt on a variant that fits the run and the remaining
-    height and that the corner rule allows (a piece sorted before the one at
-    cell 0 never covers another corner); ``nodes`` counts them and ``budget``
-    caps them.
+    ``pieces`` come in ``_sorted_pieces`` order.  Variant v = 2*i + rotated is
+    piece i in one orientation (a square has only v = 2*i), so visiting the
+    set bits of a variant mask from low to high visits pieces by descending
+    area, the unrotated variant first.  A node is one placement attempt on a
+    variant that fits the run and the remaining height and that the corner
+    rule allows (a piece sorted before the one at cell 0 never covers another
+    corner); more than ``budget`` of them raise ``BudgetExceededError``.
     """
+    masks = [0] * (2 * len(pieces))
+    by_width = [0] * (n + 1)  # by_width[k] / by_height[k]: the variants of width / height exactly k
+    by_height = [0] * (n + 1)
+    every = 0
+    roots = 0  # variants with width >= height; the board is empty, so every one fits at cell 0
+    for i, r in enumerate(pieces):
+        shapes = [(r.w, r.h)] if r.w == r.h else [(r.w, r.h), (r.h, r.w)]
+        for rotated, (width, height) in enumerate(shapes):
+            v = 2 * i + rotated
+            bit = 1 << v
+            masks[v] = _base_mask(n, width, height)
+            by_width[width] |= bit
+            by_height[height] |= bit
+            every |= bit
+            if width >= height:
+                roots |= bit
+    # fitw[k] / fith[k]: the variants of width / height at most k
+    fitw = list(itertools.accumulate(by_width, operator.or_))
+    fith = list(itertools.accumulate(by_height, operator.or_))
+    full = (1 << (n * n)) - 1
+    stop = 0 if budget is None else budget + 1  # nodes never reaches 0
+    nodes = 0
+    trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
+    while roots:
+        cand = roots & -roots  # the one variant this pass places at cell 0
+        roots ^= cand
+        # the variants of the pieces sorted before it; none may cover another corner
+        first = (1 << ((cand.bit_length() - 1) & ~1)) - 1
+        occ, avail, cell = 0, every, 0
+        while True:
+            if not cand:
+                if not trail:
+                    break
+                occ, avail, cand, cell, _ = trail.pop()
+                continue
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            nodes += 1
+            if nodes == stop:
+                raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes)
+            trail.append((occ, avail, cand, cell, v))
+            occ |= masks[v] << cell
+            if occ == full:
+                return _certificate(n, pieces, masks, [level[4] for level in trail]), nodes
+            avail &= ~(3 << (v & ~1))
+            nxt = occ + 1
+            cell = (occ ^ nxt).bit_length() - 1
+            x = cell % n
+            rows = n - cell // n
+            run = n - x
+            ahead = occ & nxt  # the occupied cells after the first empty one
+            if ahead:
+                gap = (ahead & -ahead).bit_length() - 1 - cell
+                if gap < run:
+                    run = gap
+            cand = avail & fitw[run] & fith[rows]
+            if not x:  # the bottom-left corner
+                cand &= ~(first & by_height[rows])
+            elif run == n - x and cand & first:  # the top-right or bottom-right corner
+                cand &= ~(first & by_width[run] & (by_height[rows] if cell >= n else -1))
+    return None, nodes
 
-    def __init__(self, n: int, pieces: tuple[Rect, ...], budget: int | None = None):
-        self.n = n
-        self.pieces = pieces
-        self.budget = budget
-        self.nodes = 0
-        self.masks = [0] * (2 * len(pieces))
-        by_width = [0] * (n + 1)
-        by_height = [0] * (n + 1)
-        self.avail = 0
-        self.root = 0  # variants with width >= height
-        for i, r in enumerate(pieces):
-            shapes = [(r.w, r.h)] if r.w == r.h else [(r.w, r.h), (r.h, r.w)]
-            for rotated, (width, height) in enumerate(shapes):
-                v = 2 * i + rotated
-                bit = 1 << v
-                self.masks[v] = _base_mask(n, width, height)
-                by_width[width] |= bit
-                by_height[height] |= bit
-                self.avail |= bit
-                if width >= height:
-                    self.root |= bit
-        # by_width[k] / by_height[k]: the variants of width / height exactly k
-        self.by_width, self.by_height = by_width, by_height
-        # fitw[k] / fith[k]: the variants of width / height at most k
-        self.fitw = list(itertools.accumulate(by_width, operator.or_))
-        self.fith = list(itertools.accumulate(by_height, operator.or_))
 
-    def search(self) -> Tiling | None:
-        n = self.n
-        full = (1 << (n * n)) - 1
-        masks, fitw, fith = self.masks, self.fitw, self.fith
-        by_width, by_height = self.by_width, self.by_height
-        stop = 0 if self.budget is None else self.budget + 1  # nodes never reaches 0
-        nodes = 0
-        trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
-        roots = self.avail & self.root  # the board is empty, so every variant fits
-        while roots:
-            cand = roots & -roots  # the one variant this pass places at cell 0
-            roots ^= cand
-            # the variants of the pieces sorted before it; none may cover another corner
-            first = (1 << ((cand.bit_length() - 1) & ~1)) - 1
-            occ, avail, cell = 0, self.avail, 0
-            while True:
-                if not cand:
-                    if not trail:
-                        break
-                    occ, avail, cand, cell, _ = trail.pop()
-                    continue
-                low = cand & -cand
-                cand ^= low
-                v = low.bit_length() - 1
-                nodes += 1
-                if nodes == stop:
-                    self.nodes = nodes
-                    raise BudgetExceededError(f"node budget {self.budget} exhausted", nodes=nodes)
-                trail.append((occ, avail, cand, cell, v))
-                occ |= masks[v] << cell
-                if occ == full:
-                    self.nodes = nodes
-                    return self._tiling([level[4] for level in trail])
-                avail &= ~(3 << (v & ~1))
-                nxt = occ + 1
-                cell = (occ ^ nxt).bit_length() - 1
-                x = cell % n
-                rows = n - cell // n
-                run = n - x
-                ahead = occ & nxt  # the occupied cells after the first empty one
-                if ahead:
-                    gap = (ahead & -ahead).bit_length() - 1 - cell
-                    if gap < run:
-                        run = gap
-                cand = avail & fitw[run] & fith[rows]
-                if not x:  # the bottom-left corner
-                    cand &= ~(first & by_height[rows])
-                elif run == n - x and cand & first:  # the top-right or bottom-right corner
-                    cand &= ~(first & by_width[run] & (by_height[rows] if cell >= n else -1))
-        self.nodes = nodes
-        return None
-
-    def _tiling(self, placed: list[int]) -> Tiling:
-        """Replay the placed variants from an empty board into the certificate."""
-        n = self.n
-        occ = 0
-        out = []
-        for v in placed:
-            cell = (occ ^ (occ + 1)).bit_length() - 1
-            occ |= self.masks[v] << cell
-            y, x = divmod(cell, n)
-            out.append(Placement(self.pieces[v >> 1], x, y, bool(v & 1)))
-        areas = [p.rect.area for p in out]
-        return Tiling(n=n, placements=tuple(out), defect=max(areas) - min(areas))
+def _certificate(n: int, pieces: tuple[Rect, ...], masks: list[int], placed: list[int]) -> Tiling:
+    """Replay the placed variants from an empty board into the certificate."""
+    occ = 0
+    out = []
+    for v in placed:
+        cell = (occ ^ (occ + 1)).bit_length() - 1
+        occ |= masks[v] << cell
+        y, x = divmod(cell, n)
+        out.append(Placement(pieces[v >> 1], x, y, bool(v & 1)))
+    areas = [p.rect.area for p in out]
+    return Tiling(n=n, placements=tuple(out), defect=max(areas) - min(areas))
 
 
 def exact_cover_tile(
@@ -340,7 +320,9 @@ def exact_cover_tile(
     """Tile the n x n square using each piece exactly once, or None.
 
     Each piece may be used in either orientation.  The result is a
-    deterministic function of (n, pieces).
+    deterministic function of (n, pieces): the first tiling the kernel
+    ``_cover`` finds, unverified.  More than ``node_budget`` nodes raise
+    ``BudgetExceededError``.
     """
     plist = _sorted_pieces(pieces)
     if n < 1:
@@ -352,7 +334,7 @@ def exact_cover_tile(
     total = sum(r.area for r in plist)
     if total != n * n:
         raise ValueError(f"piece areas sum to {total}, expected {n * n}")
-    return _CoverSearch(n, plist, budget=node_budget).search()
+    return _cover(n, plist, node_budget)[0]
 
 
 def _placement_mask(n: int, p: Placement) -> int:
@@ -404,6 +386,27 @@ def _verified(t: Tiling) -> Tiling:
     return t
 
 
+def _first_tiling(
+    n: int, psets: Iterable[tuple[Rect, ...]], budget: int, spent: int
+) -> tuple[Tiling | None, int]:
+    """The first of ``psets`` that ``_cover`` tiles, verified, or None, and the node total.
+
+    ``spent`` nodes were searched before this call, and the total returned
+    includes them.  A run that takes the total past ``budget`` raises
+    ``BudgetExceededError`` carrying the total, ``budget + 1``.
+    """
+    for pieces in psets:
+        try:
+            found, nodes = _cover(n, pieces, budget - spent)
+        except BudgetExceededError as err:
+            err.nodes += spent
+            raise
+        spent += nodes
+        if found is not None:
+            return _verified(found), spent
+    return None, spent
+
+
 def scale_tiling(t: Tiling, k: int) -> Tiling:
     """Blow a valid tiling up by an integer factor k; defect scales by k²."""
     if k < 1:
@@ -425,82 +428,63 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     windows [a, a+w] with a descending; a window only enumerates piece sets
     whose smallest and largest areas hit both endpoints, so every candidate
     set is searched exactly once, at the w equal to its spread.  The first w
-    admitting a tiling is therefore the minimum.  Its certificate is checked
-    by ``verify_tiling`` first; a rejected one raises ``InternalConsistencyError``.
+    admitting a tiling is therefore the minimum.  Each level's sets go to
+    ``_first_tiling``, which runs the kernel ``_cover`` on them and checks a
+    certificate by ``verify_tiling`` first; a rejected one raises
+    ``InternalConsistencyError``.
 
     Raises ``BudgetExceededError`` once the search needs more than
-    ``node_budget`` nodes; a node is one placement attempt on a variant that
-    fits the run and the remaining height and that the corner rule allows
-    (module docstring, fifth search fact).  The error carries the proven
-    lower bound (the defect level being processed) and the trivial two-strip
-    upper bound n(n-2).
+    ``node_budget`` nodes of ``_cover``.  The error carries the proven lower
+    bound (the defect level being processed) and the trivial two-strip upper
+    bound n(n-2).
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if node_budget < 1:
         raise ValueError(f"node_budget must be positive, got {node_budget}")
     target = n * n
+    by_area = [rects_with_area(a, n) if a else [] for a in range(target + 1)]
     # availability prefix: cum[a] = total area of distinct fitting rects with area <= a
-    cum = [0] * (target + 1)
-    fitting: list[int] = [0] * (target + 1)
-    for a in range(1, target + 1):
-        fitting[a] = len(rects_with_area(a, n))
-        cum[a] = cum[a - 1] + a * fitting[a]
+    cum = list(itertools.accumulate(a * len(rects) for a, rects in enumerate(by_area)))
+
+    def level(w: int) -> Iterator[tuple[Rect, ...]]:
+        for a in range(target // 2, 0, -1):
+            hi = a + w
+            if hi > target or not by_area[a] or not by_area[hi] or cum[hi] - cum[a - 1] < target:
+                continue
+            cands = [r for area in range(hi, a - 1, -1) for r in by_area[area]]
+            for pset in _piece_sets(n, cands, a, hi, exact_spread=True):
+                if len(pset) >= 2:  # the untiled square itself is not a tiling
+                    yield pset
+
     spent = 0
     trivial_bound = n * (n - 2)  # defect of the {1 x n, (n-1) x n} two-strip tiling
     for w in range(trivial_bound + 1):
-        for a in range(target // 2, 0, -1):
-            hi = a + w
-            if hi > target or not fitting[a] or not fitting[hi]:
-                continue
-            if cum[hi] - cum[a - 1] < target:
-                continue
-            for pset in _piece_sets_with_spread(n, a, hi):
-                if len(pset) < 2:
-                    continue  # the untiled square itself is not a tiling
-                engine = _CoverSearch(n, pset, budget=node_budget - spent)
-                try:
-                    found = engine.search()
-                except BudgetExceededError:
-                    spent += engine.nodes
-                    raise BudgetExceededError(
-                        f"node budget {node_budget} exhausted while testing defect {w} for n={n}",
-                        nodes=spent,
-                        lower_bound=w,
-                        upper_bound=trivial_bound,
-                    ) from None
-                spent += engine.nodes
-                if found is not None:
-                    return w, _verified(found)
+        try:
+            found, spent = _first_tiling(n, level(w), node_budget, spent)
+        except BudgetExceededError as err:
+            raise BudgetExceededError(
+                f"node budget {node_budget} exhausted while testing defect {w} for n={n}",
+                nodes=err.nodes,
+                lower_bound=w,
+                upper_bound=trivial_bound,
+            ) from None
+        if found is not None:
+            return w, found
     raise AssertionError("unreachable: the two-strip tiling bounds the defect")
-
-
-def _perfect_candidates(n: int) -> Iterator[tuple[int, int, list[Rect]]]:
-    """(d, piece_count, rects) for each equal-area candidate, ascending d.
-
-    A perfect tiling with piece area d needs d to be a proper divisor of n²
-    with d*tau(d) >= n², and needs n²/d distinct congruence classes of area d
-    fitting the square, which caps the piece count at ceil(tau(d)/2).
-    """
-    n2 = n * n
-    for d, _ in _witnesses(n, _factorize(n)):
-        s = n2 // d
-        rects = rects_with_area(d, n)
-        if s <= len(rects):
-            yield d, s, rects
 
 
 def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectCheckOutcome:
     """Decide whether the n x n square admits an equal-area (defect 0) tiling.
 
     If no proper divisor of n² satisfies d*tau(d) >= n², no such tiling can
-    exist and the search is skipped entirely (FilterExcluded).  Otherwise
-    every surviving divisor's piece-set combinations are tiled exhaustively:
+    exist and the search is skipped entirely (FilterExcluded).  A witness d
+    is searched only if it fits: the n²/d pieces must be distinct rects of
+    area d inside the square, which caps their count at ceil(tau(d)/2).  Every
+    set of them goes to ``_first_tiling``, which runs the kernel ``_cover``:
     PerfectFound with a certificate that has passed ``verify_tiling``, or
-    Exhausted.  ``nodes_searched`` counts the nodes of those searches; a node
-    is one placement attempt on a variant that fits the run and the remaining
-    height and that the corner rule allows (module docstring, fifth search
-    fact), and more than ``node_budget`` of them raise ``BudgetExceededError``.
+    Exhausted.  ``nodes_searched`` counts the nodes of ``_cover``, and more
+    than ``node_budget`` of them raise ``BudgetExceededError``.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -509,25 +493,26 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
     report = witness_report(n)
     if report.p1:
         return PerfectCheckOutcome(n, PerfectVerdict.FILTER_EXCLUDED, None, None, 0)
+    n2 = n * n
+    fitting = [
+        (d, rects)
+        for d, _ in _witnesses(n, _factorize(n))
+        if len(rects := rects_with_area(d, n)) * d >= n2
+    ]
     spent = 0
-    candidates = list(_perfect_candidates(n))
-    for i, (d, s, rects) in enumerate(candidates):
-        for combo in itertools.combinations(rects, s):
-            engine = _CoverSearch(n, _sorted_pieces(combo), budget=node_budget - spent)
-            try:
-                found = engine.search()
-            except BudgetExceededError:
-                spent += engine.nodes
-                raise BudgetExceededError(
-                    f"node budget {node_budget} exhausted at piece area {d} for n={n}",
-                    nodes=spent,
-                    unresolved=tuple(dd for dd, _, _ in candidates[i:]),
-                ) from None
-            spent += engine.nodes
-            if found is not None:
-                return PerfectCheckOutcome(
-                    n, PerfectVerdict.PERFECT_FOUND, report.witness, _verified(found), spent
-                )
+    for i, (d, rects) in enumerate(fitting):
+        try:
+            found, spent = _first_tiling(
+                n, _piece_sets(n, rects, d, d, exact_spread=True), node_budget, spent
+            )
+        except BudgetExceededError as err:
+            raise BudgetExceededError(
+                f"node budget {node_budget} exhausted at piece area {d} for n={n}",
+                nodes=err.nodes,
+                unresolved=tuple(dd for dd, _ in fitting[i:]),
+            ) from None
+        if found is not None:
+            return PerfectCheckOutcome(n, PerfectVerdict.PERFECT_FOUND, report.witness, found, spent)
     return PerfectCheckOutcome(n, PerfectVerdict.EXHAUSTED, report.witness, None, spent)
 
 

@@ -202,7 +202,8 @@ def seed_cover_search(n: int, pieces, corners: bool = False) -> tuple[Tiling | N
     """The first tiling the cover kernel of the first release finds, or None,
     and the number of pieces it placed on the way.
 
-    Kept as the differential reference for ``tiling._CoverSearch``: it visits
+    Kept as the differential reference for the kernel ``tiling._cover``,
+    which returns the same (tiling or None, nodes) pair: it visits
     every unused piece in both orientations at every node and rejects a
     misfit by a shift-and-AND test, in the same order (pieces by descending
     area, the unrotated orientation first).  With ``corners`` it also skips,

@@ -33,11 +33,11 @@ from mondrian.tiling import (
     Rect,
     Tiling,
     check_perfect,
+    enumerate_piece_sets,
     exact_cover_tile,
     scale_tiling,
     solve_m,
     verify_tiling,
-    _piece_sets_with_spread,
 )
 from oracles import naive_min_defect, naive_witness
 
@@ -56,8 +56,8 @@ def test_criterion_01_m6_value_certificate_and_speed():
 
     # an optimal tiling with min area 4 and max area 9 exists
     found = None
-    for pset in _piece_sets_with_spread(6, 4, 9):
-        if len(pset) < 2:
+    for pset in enumerate_piece_sets(6, 4, 9):
+        if (pset[0].area, pset[-1].area) != (9, 4):
             continue
         tiled = exact_cover_tile(6, pset)
         if tiled is not None:

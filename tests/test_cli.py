@@ -159,7 +159,10 @@ class TestDispatch:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing on stdout
-        assert "budget" in captured.err
+        assert captured.err == (
+            "budget exceeded: node budget 5 exhausted while testing defect 4 for n=8\n"
+            "proven lower bound: 4\n"
+        )
 
     def test_missing_bfile_is_usage_error(self, capsys):
         rc = main(["verify-oeis", "--bfile", "/nonexistent", "--from", "3", "--to", "5"])

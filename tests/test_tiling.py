@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,6 @@ from mondrian.tiling import (
     tiling_from_json,
     tiling_to_json,
     verify_tiling,
-    _perfect_candidates,
-    _piece_sets_with_spread,
 )
 from mondrian.numtheory import tau
 from oracles import (
@@ -39,6 +38,21 @@ from oracles import (
 
 def R(a, b):
     return canonical_rect(a, b)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record (n, pieces, found, nodes) for every run of the cover kernel ``tiling._cover``."""
+    seen = []
+    cover = tiling._cover
+
+    def recording(n, pieces, budget):
+        found, nodes = cover(n, pieces, budget)
+        seen.append((n, pieces, found, nodes))
+        return found, nodes
+
+    monkeypatch.setattr(tiling, "_cover", recording)
+    return seen
 
 
 def assert_canonical_corners(t):
@@ -153,7 +167,9 @@ class TestEnumeratePieceSets:
                         for s in enumerate_piece_sets(n, lo, hi)
                         if s[0].area == hi and s[-1].area == lo
                     ]
-                    assert list(_piece_sets_with_spread(n, lo, hi)) == expected, (n, lo, hi)
+                    cands = [r for a in range(hi, lo - 1, -1) for r in rects_with_area(a, n)]
+                    got = list(tiling._piece_sets(n, cands, lo, hi, exact_spread=True))
+                    assert got == expected, (n, lo, hi)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
@@ -254,6 +270,20 @@ class TestKernelVerdicts:
                 assert_canonical_corners(found)
         assert not changed
 
+    def test_solvers_hand_the_kernel_exactly_these_sets(self, kernel_calls):
+        # a driver that drops, adds or reorders a set changes these lists
+        def sent():
+            got = [[n, [[r.w, r.h] for r in pieces]] for n, pieces, _, _ in kernel_calls]
+            kernel_calls.clear()
+            return got
+
+        for n in range(3, 17):
+            solve_m(n)
+        assert sent() == [[n, sides] for n, sides, _ in self.VERDICTS["solve_m"]]
+        nodes = sum(check_perfect(n).nodes_searched for n in range(3, 201))
+        assert sent() == [[n, sides] for n, sides, _ in self.VERDICTS["check_perfect"]]
+        assert nodes == 96_415
+
 
 class TestComputedM:
     """``data/computed_m.json`` records M(n) past the local b-file, computed here, not from OEIS.
@@ -290,34 +320,21 @@ class TestAgainstSeedKernel:
     kernel, without the corner rule, must give the same verdict.
     """
 
-    @pytest.fixture
-    def searched(self, monkeypatch):
-        seen = []
-
-        class Recording(tiling._CoverSearch):
-            def search(self):
-                found = super().search()
-                seen.append((self.n, self.pieces, found, self.nodes))
-                return found
-
-        monkeypatch.setattr(tiling, "_CoverSearch", Recording)
-        return seen
-
     def _assert_same_as_seed(self, seen):
         assert seen
         for n, pieces, found, nodes in seen:
             assert (found, nodes) == seed_cover_search(n, pieces, corners=True), (n, pieces)
             assert (found is None) == (seed_cover_search(n, pieces)[0] is None), (n, pieces)
 
-    def test_solve_m(self, searched):
+    def test_solve_m(self, kernel_calls):
         for n in range(3, 15):
             solve_m(n)
-        self._assert_same_as_seed(searched)
+        self._assert_same_as_seed(kernel_calls)
 
-    def test_check_perfect(self, searched):
+    def test_check_perfect(self, kernel_calls):
         for n in range(3, 61):
             check_perfect(n)
-        self._assert_same_as_seed(searched)
+        self._assert_same_as_seed(kernel_calls)
 
 
 class TestVerifyTiling:
@@ -455,10 +472,12 @@ class TestSolveM:
         with pytest.raises(BudgetExceededError) as info:
             solve_m(8, node_budget=5)
         err = info.value
-        # defect levels below the true M(8) = 6 may already be refuted
-        assert 0 <= err.lower_bound <= 6
-        assert err.upper_bound == 8 * 6
-        assert err.nodes >= 5
+        # levels w < 4 take at most 5 nodes in all, so the sixth falls at w = 4
+        assert (err.nodes, err.lower_bound, err.upper_bound) == (6, 4, 8 * 6)
+        with pytest.raises(BudgetExceededError) as info:
+            solve_m(8, node_budget=100)
+        # every level below the true M(8) = 6 refuted within the budget
+        assert (info.value.nodes, info.value.lower_bound) == (101, 6)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -478,17 +497,8 @@ class TestCheckPerfect:
         assert out.witness_d == 12
         assert out.certificate is None
 
-    def test_candidate_identities(self):
-        # every attempted configuration satisfies d*s = n^2 and the
-        # congruence-class refinement s <= ceil(tau(d)/2) <= tau(d)
-        for n in range(3, 40):
-            for d, s, rects in _perfect_candidates(n):
-                assert d * s == n * n
-                tau_d = tau(d)
-                assert s <= len(rects) <= (tau_d + 1) // 2 <= tau_d
-
-    def test_candidates_are_every_fitting_witness(self):
-        # a skipped candidate would turn into a silently wrong Exhausted verdict
+    def _searched(self, kernel_calls):
+        """(n, fitting witnesses by the brute-force oracle, piece sets check_perfect ran), n <= 120."""
         for n in range(3, 121):
             n2 = n * n
             expected = [
@@ -498,7 +508,28 @@ class TestCheckPerfect:
                 and d * naive_tau(d) >= n2
                 and len(rects_with_area(d, n)) >= n2 / d
             ]
-            assert [d for d, _, _ in _perfect_candidates(n)] == expected, n
+            kernel_calls.clear()
+            assert check_perfect(n).verdict is not PerfectVerdict.PERFECT_FOUND
+            yield n, expected, [pieces for _, pieces, _, _ in kernel_calls]
+
+    def test_candidate_identities(self, kernel_calls):
+        # each fitting witness d gets every set of s = n²/d of its fitting rects,
+        # and the congruence-class refinement s <= ceil(tau(d)/2) holds
+        for n, expected, sets in self._searched(kernel_calls):
+            for d in expected:
+                rects = rects_with_area(d, n)
+                s = n * n // d
+                assert d * s == n * n
+                assert s <= len(rects) <= (tau(d) + 1) // 2
+                of_d = [pieces for pieces in sets if pieces[0].area == d]
+                assert len(of_d) == math.comb(len(rects), s), (n, d)
+                assert all(len(set(p)) == s and {r.area for r in p} == {d} for p in of_d)
+
+    def test_candidates_are_every_fitting_witness(self, kernel_calls):
+        # a skipped witness would turn into a silently wrong Exhausted verdict
+        for n, expected, sets in self._searched(kernel_calls):
+            areas = [pieces[0].area for pieces in sets]
+            assert list(dict.fromkeys(areas)) == expected, n
 
     def test_small_range_never_perfect(self):
         for n in range(3, 15):
@@ -508,7 +539,7 @@ class TestCheckPerfect:
         # n=12 is the smallest n whose check actually reaches the cover search
         with pytest.raises(BudgetExceededError) as info:
             check_perfect(12, node_budget=1)
-        assert 72 in info.value.unresolved
+        assert (info.value.nodes, info.value.unresolved) == (2, (72,))
 
     def test_nodes_accounted_when_search_runs(self):
         out = check_perfect(12)
@@ -555,15 +586,15 @@ class TestCertificatesAreVerified:
     """A certificate the kernel returns must pass verify_tiling before anyone sees it."""
 
     def test_solve_m(self, monkeypatch, capsys):
-        search = tiling._CoverSearch.search
+        cover = tiling._cover
 
-        def drops_a_placement(engine):
-            found = search(engine)
+        def drops_a_placement(n, pieces, budget):
+            found, nodes = cover(n, pieces, budget)
             if found is None:
-                return None
-            return Tiling(found.n, found.placements[:-1], found.defect)
+                return None, nodes
+            return Tiling(found.n, found.placements[:-1], found.defect), nodes
 
-        monkeypatch.setattr(tiling._CoverSearch, "search", drops_a_placement)
+        monkeypatch.setattr(tiling, "_cover", drops_a_placement)
         with pytest.raises(InternalConsistencyError):
             solve_m(5)
         for fmt in ("text", "json"):
@@ -571,10 +602,10 @@ class TestCertificatesAreVerified:
             assert capsys.readouterr().out == ""
 
     def test_check_perfect(self, monkeypatch, capsys):
-        def claims_every_set(engine):
-            return Tiling(engine.n, tuple(Placement(r, 0, 0) for r in engine.pieces), 0)
+        def claims_every_set(n, pieces, budget):
+            return Tiling(n, tuple(Placement(r, 0, 0) for r in pieces), 0), 1
 
-        monkeypatch.setattr(tiling._CoverSearch, "search", claims_every_set)
+        monkeypatch.setattr(tiling, "_cover", claims_every_set)
         with pytest.raises(InternalConsistencyError):
             check_perfect(12)  # the smallest n whose candidates reach the kernel
         assert main(["perfect", "--n", "12"]) == 3
