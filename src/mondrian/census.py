@@ -36,7 +36,7 @@ from .numtheory import (
     mertens_product,
     rough_count,
 )
-from .tiling import solve_m
+from .tiling import DEFAULT_NODE_BUDGET, solve_m
 
 __all__ = [
     "EULER_GAMMA",
@@ -315,7 +315,7 @@ class OeisComparison:
 
 
 def compare_oeis(
-    series: OeisSeries, from_n: int, to_n: int, node_budget: int = 10**8
+    series: OeisSeries, from_n: int, to_n: int, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> OeisComparison:
     """Recompute the minimum defect for each n in [from_n, to_n] and diff.
 

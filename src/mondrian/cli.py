@@ -27,12 +27,10 @@ from .census import (
 from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError
 from .numtheory import build_factor_table  # noqa: F401  # perfbench/spans.py wraps this name
 from .numtheory import compute_z, rough_count
-from .tiling import check_perfect, solve_m, tiling_to_json
+from .tiling import DEFAULT_NODE_BUDGET, check_perfect, solve_m, tiling_to_json
 from .tiling import verify_tiling  # noqa: F401  # perfbench/spans.py wraps this name
 
 __all__ = ["RunConfig", "parse_args", "dispatch", "main"]
-
-DEFAULT_BUDGET = 10**8
 
 EXIT_OK = 0
 EXIT_BUDGET = 1
@@ -57,7 +55,7 @@ class RunConfig:
     z: int | None = None
     from_n: int | None = None
     to_n: int | None = None
-    node_budget: int = DEFAULT_BUDGET
+    node_budget: int = DEFAULT_NODE_BUDGET
     output_format: str = "text"
     output_path: Path | None = None
     bfile: Path | None = None
@@ -73,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, dest="node_budget",
+        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, dest="node_budget",
                        help="search node budget (placements of pieces that fit and that "
                             "the corner symmetry rule allows)")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text",

@@ -7,9 +7,10 @@ exact-cover backtracker, the kernel ``_cover``, over candidate piece sets from
 the one enumerator ``_piece_sets``.  ``solve_m`` and ``check_perfect`` hand
 their sets to one driver, ``_first_tiling``, which spends the node budget and
 verifies what the kernel finds.  The board lives in a single Python integer
-used as a bitboard, one bit per cell in row-major order, so "find the first
-uncovered cell" is a couple of bit operations, and the unused oriented pieces
-that can go there are the set bits of one more integer.
+that starts at the first empty cell, one bit per cell in row-major order from
+there on, so the full rows behind it cost nothing, "find the next empty cell"
+is a couple of bit operations, and the unused oriented pieces that can go
+there are the set bits of one more integer.
 
 Key search facts the code relies on:
 
@@ -236,6 +237,11 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
     variant that fits the run and the remaining height and that the corner
     rule allows (a piece sorted before the one at cell 0 never covers another
     corner); more than ``budget`` of them raise ``BudgetExceededError``.
+
+    The board int ``occ`` starts at the first empty cell ``cell``: bit k is
+    cell + k in row-major order, so bit 0 is always empty, a variant's mask
+    goes on unshifted, and the filled cells it leaves at the front are
+    shifted off.  The board is full at ``cell == n * n``.
     """
     masks = [0] * (2 * len(pieces))
     by_width = [0] * (n + 1)  # by_width[k] / by_height[k]: the variants of width / height exactly k
@@ -256,58 +262,51 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
     # fitw[k] / fith[k]: the variants of width / height at most k
     fitw = list(itertools.accumulate(by_width, operator.or_))
     fith = list(itertools.accumulate(by_height, operator.or_))
-    full = (1 << (n * n)) - 1
+    size = n * n
     stop = 0 if budget is None else budget + 1  # nodes never reaches 0
     nodes = 0
     trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
-    while roots:
-        cand = roots & -roots  # the one variant this pass places at cell 0
-        roots ^= cand
-        # the variants of the pieces sorted before it; none may cover another corner
-        first = (1 << ((cand.bit_length() - 1) & ~1)) - 1
-        occ, avail, cell = 0, every, 0
-        while True:
-            if not cand:
-                if not trail:
-                    break
-                occ, avail, cand, cell, _ = trail.pop()
-                continue
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            nodes += 1
-            if nodes == stop:
-                raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes)
-            trail.append((occ, avail, cand, cell, v))
-            occ |= masks[v] << cell
-            if occ == full:
-                return _certificate(n, pieces, masks, [level[4] for level in trail]), nodes
-            avail &= ~(3 << (v & ~1))
-            nxt = occ + 1
-            cell = (occ ^ nxt).bit_length() - 1
-            x = cell % n
-            rows = n - cell // n
-            run = n - x
-            ahead = occ & nxt  # the occupied cells after the first empty one
-            if ahead:
-                gap = (ahead & -ahead).bit_length() - 1 - cell
-                if gap < run:
-                    run = gap
-            cand = avail & fitw[run] & fith[rows]
-            if not x:  # the bottom-left corner
-                cand &= ~(first & by_height[rows])
-            elif run == n - x and cand & first:  # the top-right or bottom-right corner
-                cand &= ~(first & by_width[run] & (by_height[rows] if cell >= n else -1))
-    return None, nodes
+    occ, avail, cand, cell = 0, every, roots, 0
+    while True:
+        if not cand:
+            if not trail:
+                return None, nodes
+            occ, avail, cand, cell, _ = trail.pop()
+            continue
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        nodes += 1
+        if nodes == stop:
+            raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes)
+        trail.append((occ, avail, cand, cell, v))
+        if not cell:  # first: the variants of the pieces sorted before the one at cell 0
+            first = (1 << (v & ~1)) - 1
+        occ |= masks[v]
+        shift = (occ ^ (occ + 1)).bit_length() - 1  # the filled cells now at the front
+        occ >>= shift
+        cell += shift
+        if cell == size:
+            return _certificate(n, pieces, trail), nodes
+        avail &= ~(3 << (v & ~1))
+        x = cell % n
+        rows = n - cell // n
+        run = n - x
+        if occ:  # the run ends at the next occupied cell
+            gap = (occ & -occ).bit_length() - 1
+            if gap < run:
+                run = gap
+        cand = avail & fitw[run] & fith[rows]
+        if not x:  # the bottom-left corner
+            cand &= ~(first & by_height[rows])
+        elif run == n - x and cand & first:  # the top-right or bottom-right corner
+            cand &= ~(first & by_width[run] & (by_height[rows] if cell >= n else -1))
 
 
-def _certificate(n: int, pieces: tuple[Rect, ...], masks: list[int], placed: list[int]) -> Tiling:
-    """Replay the placed variants from an empty board into the certificate."""
-    occ = 0
+def _certificate(n: int, pieces: tuple[Rect, ...], trail: list[tuple[int, ...]]) -> Tiling:
+    """The trail is the certificate: level ``(cell, v)`` puts variant v's top-left at cell."""
     out = []
-    for v in placed:
-        cell = (occ ^ (occ + 1)).bit_length() - 1
-        occ |= masks[v] << cell
+    for *_, cell, v in trail:
         y, x = divmod(cell, n)
         out.append(Placement(pieces[v >> 1], x, y, bool(v & 1)))
     areas = [p.rect.area for p in out]
@@ -448,14 +447,13 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     cum = list(itertools.accumulate(a * len(rects) for a, rects in enumerate(by_area)))
 
     def level(w: int) -> Iterator[tuple[Rect, ...]]:
+        # a tiling of >= 2 pieces has its smallest area <= n²/2, so the untiled square never shows
         for a in range(target // 2, 0, -1):
             hi = a + w
             if hi > target or not by_area[a] or not by_area[hi] or cum[hi] - cum[a - 1] < target:
                 continue
             cands = [r for area in range(hi, a - 1, -1) for r in by_area[area]]
-            for pset in _piece_sets(n, cands, a, hi, exact_spread=True):
-                if len(pset) >= 2:  # the untiled square itself is not a tiling
-                    yield pset
+            yield from _piece_sets(n, cands, a, hi, exact_spread=True)
 
     spent = 0
     trivial_bound = n * (n - 2)  # defect of the {1 x n, (n-1) x n} two-strip tiling

@@ -1,9 +1,10 @@
+import functools
 import json
 import math
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mondrian import tiling
@@ -53,6 +54,17 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(tiling, "_cover", recording)
     return seen
+
+
+@functools.cache
+def windows_holding_sets(n):
+    """The area windows [lo, hi] of width at most 2n that hold a piece set at n."""
+    return [
+        (lo, hi)
+        for lo in range(1, n * n + 1)
+        for hi in range(lo, min(n * n, lo + 2 * n) + 1)
+        if next(enumerate_piece_sets(n, lo, hi), None)
+    ]
 
 
 def assert_canonical_corners(t):
@@ -227,15 +239,26 @@ class TestExactCoverTile:
         with pytest.raises(BudgetExceededError):
             exact_cover_tile(6, list(enumerate_piece_sets(6, 4, 9))[0], node_budget=1)
 
+    def test_budget_at_every_node_count(self, kernel_calls):
+        # a budget of k < T nodes stops at node k + 1; a budget of T finishes the search
+        for n in range(3, 13):
+            solve_m(n)
+            check_perfect(n)
+        small = [call for call in kernel_calls if call[3] <= 300]
+        assert len(small) == 57
+        for n, pieces, found, total in small:
+            for k in range(total):
+                with pytest.raises(BudgetExceededError) as err:
+                    tiling._cover(n, pieces, k)
+                assert err.value.nodes == k + 1, (n, pieces, k)
+            assert tiling._cover(n, pieces, total) == (found, total), (n, pieces)
+
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_naive_search(self, data):
         n = data.draw(st.integers(3, 7))
-        lo = data.draw(st.integers(1, n * n))
-        hi = data.draw(st.integers(lo, min(n * n, lo + 2 * n)))
-        sets = list(enumerate_piece_sets(n, lo, hi))
-        assume(sets)
-        pieces = data.draw(st.sampled_from(sets))
+        lo, hi = data.draw(st.sampled_from(windows_holding_sets(n)))
+        pieces = data.draw(st.sampled_from(list(enumerate_piece_sets(n, lo, hi))))
         found = exact_cover_tile(n, pieces)
         assert (found is not None) == naive_tiles(n, [(r.w, r.h) for r in pieces])
         if found is not None:
@@ -290,7 +313,8 @@ class TestComputedM:
 
     Each certificate must replay through ``verify_tiling`` at the recorded
     defect; that proves M(n) <= m.  The lower bound rests on the search that
-    produced the entry; a CI step recomputes n = 21 and compares.
+    produced the entry: n = 23 is recomputed here, node total included, and
+    a CI step recomputes n = 21 and 22 and compares.
     """
 
     RECORD = json.loads((Path(__file__).parent / "data" / "computed_m.json").read_text())
@@ -306,6 +330,12 @@ class TestComputedM:
             assert report.valid, (e["n"], report.reason)
             assert (cert.n, cert.defect, report.defect) == (e["n"], e["m"], e["m"])
             assert_canonical_corners(cert)
+
+    def test_recompute_23(self, kernel_calls):
+        want = next(e for e in self.RECORD["entries"] if e["n"] == 23)
+        m, cert = solve_m(23)
+        assert (m, json.loads(tiling_to_json(cert))) == (want["m"], want["certificate"])
+        assert sum(nodes for *_, nodes in kernel_calls) == want["nodes"] == 38_614
 
 
 class TestAgainstSeedKernel:
