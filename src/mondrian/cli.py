@@ -3,7 +3,8 @@
 Subcommands: solve, perfect, census, rough, chain, verify-oeis.  Results go
 to stdout (or --out PATH); progress and diagnostics go to stderr, so stdout
 is always machine-consumable.  Exit statuses: 0 success, 1 node budget
-exhausted, 2 usage error, 3 internal consistency failure.
+exhausted, 2 usage error (including an --out PATH that cannot be written),
+3 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -37,15 +38,6 @@ EXIT_BUDGET = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-_FORMATS_BY_COMMAND = {
-    "solve": ("text", "json"),
-    "perfect": ("text", "json"),
-    "census": ("text", "json", "csv"),
-    "rough": ("text", "json", "csv"),
-    "chain": ("text", "json"),
-    "verify-oeis": ("text", "json"),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -61,6 +53,17 @@ class RunConfig:
     bfile: Path | None = None
 
 
+def _at_least(k: int):
+    """An argparse type for an int >= k."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: ..."
+    return parse
+
+
 @functools.cache  # built once: a fresh tree per call cost ~2 ms and left cyclic garbage
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,39 +72,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, formats: tuple[str, ...]) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
-        p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET, dest="node_budget",
+        p.add_argument("--budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET,
+                       dest="node_budget",
                        help="search node budget (placements of pieces that fit and that "
                             "the corner symmetry rule allows)")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text",
-                       dest="output_format")
+        p.add_argument("--format", choices=formats, default="text", dest="output_format")
         p.add_argument("--out", type=Path, default=None, dest="output_path",
                        help="write results to PATH instead of stdout")
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_at_least(1), default=1,
                        help="no effect, accepted for compatibility: every command "
                             "runs in one thread")
         return p
 
-    p = add("solve", "minimum defect M(n) with a tiling certificate")
-    p.add_argument("--n", type=int, required=True)
+    p = add("solve", "minimum defect M(n) with a tiling certificate", ("text", "json"))
+    p.add_argument("--n", type=_at_least(3), required=True)
 
-    p = add("perfect", "decide whether an equal-area (defect 0) tiling exists")
-    p.add_argument("--n", type=int, required=True)
+    p = add("perfect", "decide whether an equal-area (defect 0) tiling exists", ("text", "json"))
+    p.add_argument("--n", type=_at_least(3), required=True)
 
-    p = add("census", "chain census record over [3, x]")
-    p.add_argument("--x", type=int, required=True)
+    p = add("census", "chain census record over [3, x]", ("text", "json", "csv"))
+    p.add_argument("--x", type=_at_least(16), required=True)
 
-    p = add("rough", "count z-rough integers up to x")
-    p.add_argument("--x", type=int, required=True)
-    p.add_argument("--z", type=int, default=None)
+    p = add("rough", "count z-rough integers up to x", ("text", "json", "csv"))
+    p.add_argument("--x", type=_at_least(1), required=True)
+    p.add_argument("--z", type=_at_least(0), default=None)
 
-    p = add("chain", "census counts against their asymptotic reference values")
-    p.add_argument("--x", type=int, required=True)
+    p = add("chain", "census counts against their asymptotic reference values", ("text", "json"))
+    p.add_argument("--x", type=_at_least(16), required=True)
 
-    p = add("verify-oeis", "recompute M(n) against an OEIS b-file")
+    p = add("verify-oeis", "recompute M(n) against an OEIS b-file", ("text", "json"))
     p.add_argument("--bfile", type=Path, required=True)
-    p.add_argument("--from", type=int, required=True, dest="from_n")
+    p.add_argument("--from", type=_at_least(3), required=True, dest="from_n")
     p.add_argument("--to", type=int, required=True, dest="to_n")
 
     return parser
@@ -109,41 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv: list[str]) -> RunConfig:
     """Validate argv into a RunConfig; bad usage exits with status 2."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-
-    if ns.workers < 1:
-        parser.error(f"--workers must be >= 1, got {ns.workers}")
-    if ns.node_budget < 1:
-        parser.error(f"--budget must be >= 1, got {ns.node_budget}")
-    if ns.output_format not in _FORMATS_BY_COMMAND[ns.command]:
-        parser.error(f"--format {ns.output_format} is not available for {ns.command}")
-
-    config = RunConfig(
-        command=ns.command,
-        n=getattr(ns, "n", None),
-        x=getattr(ns, "x", None),
-        z=getattr(ns, "z", None),
-        from_n=getattr(ns, "from_n", None),
-        to_n=getattr(ns, "to_n", None),
-        node_budget=ns.node_budget,
-        output_format=ns.output_format,
-        output_path=ns.output_path,
-        bfile=getattr(ns, "bfile", None),
-    )
-
-    if config.command in ("solve", "perfect") and config.n < 3:
-        parser.error(f"--n must be >= 3, got {config.n}")
-    if config.command in ("census", "chain") and config.x < 16:
-        parser.error(f"--x must be >= 16, got {config.x}")
-    if config.command == "rough":
-        if config.x < 1:
-            parser.error(f"--x must be >= 1, got {config.x}")
-        if config.z is not None and config.z < 0:
-            parser.error(f"--z must be >= 0, got {config.z}")
-    if config.command == "verify-oeis" and config.from_n < 3:
-        parser.error(f"--from must be >= 3, got {config.from_n}")
-    return config
+    fields = vars(_build_parser().parse_args(argv))
+    del fields["workers"]  # validated, then ignored
+    return RunConfig(**fields)
 
 
 def _log(message: str) -> None:
@@ -157,15 +128,13 @@ def _emit(config: RunConfig, text: str) -> None:
         sys.stdout.write(text)
 
 
-# ---------------------------------------------------------------------------
-# command bodies
-# ---------------------------------------------------------------------------
+# command bodies: each returns (stdout text, exit status)
 
 
-def _run_solve(config: RunConfig) -> str:
+def _run_solve(config: RunConfig) -> tuple[str, int]:
     value, cert = solve_m(config.n, node_budget=config.node_budget)
     if config.output_format == "json":
-        return tiling_to_json(cert) + "\n"
+        return tiling_to_json(cert) + "\n", EXIT_OK
     # solve_m has verified cert already; the areas are all that is left to print
     areas = [p.width * p.height for p in cert.placements]
     lines = [
@@ -173,12 +142,11 @@ def _run_solve(config: RunConfig) -> str:
         f"defect {max(areas) - min(areas)} (min area {min(areas)}, max area {max(areas)})",
         "pieces:",
     ]
-    for p in cert.placements:
-        lines.append(f"  {p.width}x{p.height} @ ({p.x},{p.y})")
-    return "\n".join(lines) + "\n"
+    lines.extend(f"  {p.width}x{p.height} @ ({p.x},{p.y})" for p in cert.placements)
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def _run_perfect(config: RunConfig) -> str:
+def _run_perfect(config: RunConfig) -> tuple[str, int]:
     outcome = check_perfect(config.n, node_budget=config.node_budget)
     if config.output_format == "json":
         obj = {
@@ -190,35 +158,35 @@ def _run_perfect(config: RunConfig) -> str:
             if outcome.certificate is None
             else json.loads(tiling_to_json(outcome.certificate)),
         }
-        return json.dumps(obj) + "\n"
-    return outcome.verdict.value + "\n"
+        return json.dumps(obj) + "\n", EXIT_OK
+    return outcome.verdict.value + "\n", EXIT_OK
 
 
-def _run_census(config: RunConfig) -> str:
+def _run_census(config: RunConfig) -> tuple[str, int]:
     record = run_chain_census(config.x)
     if config.output_format == "csv":
-        return CENSUS_CSV_HEADER + "\n" + census_csv_row(record) + "\n"
-    if config.output_format == "json":
-        return json.dumps(census_json_dict(record)) + "\n"
+        return CENSUS_CSV_HEADER + "\n" + census_csv_row(record) + "\n", EXIT_OK
     d = census_json_dict(record)
+    if config.output_format == "json":
+        return json.dumps(d) + "\n", EXIT_OK
     d.pop("notes")
-    return "".join(f"{k} = {v}\n" for k, v in d.items())
+    return "".join(f"{k} = {v}\n" for k, v in d.items()), EXIT_OK
 
 
-def _run_rough(config: RunConfig) -> str:
+def _run_rough(config: RunConfig) -> tuple[str, int]:
     z = config.z if config.z is not None else compute_z(config.x)
     count = rough_count(config.x, z)
     if config.output_format == "json":
-        return json.dumps({"x": config.x, "z": z, "count_rough": count}) + "\n"
+        return json.dumps({"x": config.x, "z": z, "count_rough": count}) + "\n", EXIT_OK
     if config.output_format == "csv":
-        return f"x,z,count_rough\n{config.x},{z},{count}\n"
-    return f"{count}\n"
+        return f"x,z,count_rough\n{config.x},{z},{count}\n", EXIT_OK
+    return f"{count}\n", EXIT_OK
 
 
-def _run_chain(config: RunConfig) -> str:
+def _run_chain(config: RunConfig) -> tuple[str, int]:
     report = theorem_report(config.x)
     if config.output_format == "json":
-        return json.dumps(report.as_dict()) + "\n"
+        return json.dumps(report.as_dict()) + "\n", EXIT_OK
     r = report.record
     lines = [
         f"x = {r.x}, z = {r.z}",
@@ -233,7 +201,7 @@ def _run_chain(config: RunConfig) -> str:
         f"count_excess_tau            = {r.count_excess_tau}",
     ]
     lines.extend(f"note: {note}" for note in report.notes)
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
 def _run_verify_oeis(config: RunConfig) -> tuple[str, int]:
@@ -256,30 +224,25 @@ def _run_verify_oeis(config: RunConfig) -> tuple[str, int]:
         for n in outcome.budget_exceeded:
             lines.append(f"n={n}: budget exceeded")
         text = "\n".join(lines) + "\n"
-    status = EXIT_BUDGET if outcome.budget_exceeded else EXIT_OK
-    return text, status
+    return text, EXIT_BUDGET if outcome.budget_exceeded else EXIT_OK
+
+
+# runners, not solve_m etc.: those are looked up at call time, where perfbench's tracer wraps them
+_RUNNERS = {
+    "solve": _run_solve,
+    "perfect": _run_perfect,
+    "census": _run_census,
+    "rough": _run_rough,
+    "chain": _run_chain,
+    "verify-oeis": _run_verify_oeis,
+}
 
 
 def dispatch(config: RunConfig) -> int:
     """Run the configured command; returns the process exit status."""
     try:
-        if config.command == "solve":
-            text = _run_solve(config)
-        elif config.command == "perfect":
-            text = _run_perfect(config)
-        elif config.command == "census":
-            text = _run_census(config)
-        elif config.command == "rough":
-            text = _run_rough(config)
-        elif config.command == "chain":
-            text = _run_chain(config)
-        elif config.command == "verify-oeis":
-            text, status = _run_verify_oeis(config)
-            _emit(config, text)
-            return status
-        else:  # pragma: no cover - parse_args guarantees the command
-            _log(f"unknown command {config.command}")
-            return EXIT_USAGE
+        text, status = _RUNNERS[config.command](config)
+        _emit(config, text)
     except BudgetExceededError as exc:
         _log(f"budget exceeded: {exc}")
         if exc.lower_bound is not None:
@@ -293,8 +256,7 @@ def dispatch(config: RunConfig) -> int:
     except (BFileParseError, OSError, ValueError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
-    _emit(config, text)
-    return EXIT_OK
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -4,9 +4,22 @@ import sys
 
 import pytest
 
+from conftest import DATA_DIR
 from mondrian import numtheory
 from mondrian.cli import RunConfig, dispatch, main, parse_args
 from mondrian.tiling import tiling_from_json, verify_tiling
+
+# a quick valid run of each command
+ARGV_BY_COMMAND = {
+    "solve": ["solve", "--n", "6"],
+    "perfect": ["perfect", "--n", "6"],
+    "census": ["census", "--x", "100"],
+    "rough": ["rough", "--x", "100"],
+    "chain": ["chain", "--x", "100"],
+    "verify-oeis": ["verify-oeis", "--bfile", str(DATA_DIR / "b276523.txt"),
+                    "--from", "3", "--to", "5"],
+}
+CSV_COMMANDS = {"census", "rough"}
 
 
 def run_cli(args):
@@ -47,32 +60,31 @@ class TestParseArgs:
     def test_out_of_range_values(self):
         for args in (
             ["solve", "--n", "2"],
+            ["perfect", "--n", "2"],
             ["census", "--x", "10"],
+            ["chain", "--x", "10"],
             ["rough", "--x", "0"],
+            ["rough", "--x", "100", "--z", "-1"],
             ["solve", "--n", "6", "--budget", "0"],
             ["solve", "--n", "6", "--workers", "0"],
             ["verify-oeis", "--bfile", "x", "--from", "2", "--to", "5"],
         ):
-            with pytest.raises(SystemExit):
+            with pytest.raises(SystemExit) as e:
                 parse_args(args)
+            assert e.value.code == 2, args
 
     def test_format_availability_per_command(self):
-        with pytest.raises(SystemExit):
-            parse_args(["solve", "--n", "6", "--format", "csv"])
-        with pytest.raises(SystemExit):
-            parse_args(["chain", "--x", "100", "--format", "csv"])
+        for command, argv in ARGV_BY_COMMAND.items():
+            for fmt in ("text", "json", "csv"):
+                args = [*argv, "--format", fmt]
+                if fmt != "csv" or command in CSV_COMMANDS:
+                    assert parse_args(args).output_format == fmt, args
+                else:
+                    with pytest.raises(SystemExit) as e:
+                        parse_args(args)
+                    assert e.value.code == 2, args
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["solve", "--n", "6"],
-            ["perfect", "--n", "6"],
-            ["census", "--x", "100"],
-            ["rough", "--x", "100"],
-            ["chain", "--x", "100"],
-            ["verify-oeis", "--bfile", "b", "--from", "3", "--to", "5"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", list(ARGV_BY_COMMAND.values()))
     def test_workers_validated_and_ignored(self, argv):
         assert parse_args([*argv, "--workers", "4"]) == parse_args(argv)
         with pytest.raises(SystemExit) as e:
@@ -174,6 +186,14 @@ class TestDispatch:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert tiling_from_json(target.read_text()).defect == 2
+
+    @pytest.mark.parametrize("command", list(ARGV_BY_COMMAND))
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, command):
+        target = tmp_path / "no" / "such" / "file"
+        assert main([*ARGV_BY_COMMAND[command], "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestSubprocessBehavior:
