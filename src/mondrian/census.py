@@ -24,13 +24,11 @@ from typing import IO
 
 import numpy as np
 
-from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError
+from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError, UsageError
 from .numtheory import (
     _chain_tests,
     _divisor_blocks,
-    _factorize,
     _tau_threshold,
-    _witnesses,
     census_excess_tau,  # noqa: F401  # perfbench/spans.py wraps this name
     compute_z,
     mertens_product,
@@ -104,37 +102,26 @@ class TheoremReport:
 
 
 def _block_predicates(
-    start: int,
-    spf: np.ndarray,
-    e: np.ndarray,
-    tau_n: np.ndarray,
-    tau_n2: np.ndarray,
-    rest: np.ndarray,
+    spf: np.ndarray, tau_n: np.ndarray, tau_n2: np.ndarray, need: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(p1, p2, p3) arrays for the block of n from ``start`` that ``_divisor_blocks`` gave.
+    """(p1, p2, p3) arrays for a block of n from the arrays ``_divisor_blocks`` gave.
 
-    p2 settles p1 and a witness at d_max refutes it; only the n left, about
-    2 %, need the co-divisor scan.  Trial division factors n // rest, whose
-    primes are all sieved ones, and rest, 1 or a prime above them, goes last.
+    p1 holds iff tau(n²) < need, the least per-prime bound of
+    ``numtheory._prime_bound``, so no witness is searched for; p2 and p3
+    come from ``_chain_tests``.
     """
-    p2, p3, refuted = _chain_tests(spf, e, tau_n, tau_n2)
-    p1 = p2.copy()
-    todo = np.flatnonzero(~(p2 | refuted))
-    for i, r in zip(todo.tolist(), rest[todo].tolist()):
-        n = start + i
-        factors = _factorize(n // r) + ([(r, 1)] if r > 1 else [])
-        p1[i] = next(_witnesses(n, factors), None) is None
-    return p1, p2, p3
+    p2, p3 = _chain_tests(spf, tau_n, tau_n2)
+    return tau_n2 < need, p2, p3
 
 
 def run_chain_census(x: int) -> CensusRecord:
     """Evaluate every chain predicate over [3, x] and package exact counts.
 
     Everything runs in one thread, block by block.  One divisor sieve derives
-    spf, tau(n) and tau(n²) for a block of n from the primes up to sqrt x, so
-    memory stays O(sqrt x + block) with no table over [2, x]; the predicates
-    and counts come from those arrays, and only the residue n get a per-n
-    co-divisor scan.
+    spf, tau(n), tau(n²) and the witness bound ``need`` for a block of n from
+    the primes up to sqrt x, so memory stays O(sqrt x + block) with no table
+    over [2, x]; every predicate and count comes from those arrays, with no
+    per-n work in Python.
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
@@ -142,8 +129,8 @@ def run_chain_census(x: int) -> CensusRecord:
     threshold = _tau_threshold(x)
 
     count_p1 = count_p2 = count_p3 = count_rst = count_excess = 0
-    for start, spf, e, tau_n, tau_n2, rest in _divisor_blocks(3, x + 1):
-        p1, p2, p3 = _block_predicates(start, spf, e, tau_n, tau_n2, rest)
+    for start, spf, _, tau_n, tau_n2, need in _divisor_blocks(3, x + 1):
+        p1, p2, p3 = _block_predicates(spf, tau_n, tau_n2, need)
         rough_small = (spf > z) & (tau_n <= threshold)
         broken = (rough_small & ~p3) | (p3 & ~p2) | (p2 & ~p1)
         if broken.any():
@@ -264,16 +251,20 @@ def load_bfile(source: str | os.PathLike | IO) -> OeisSeries:
     """Parse OEIS b-file text: '#' comments, then ascending "n value" lines.
 
     Indices must be strictly ascending and contiguous, values nonnegative;
-    anything else raises ``BFileParseError`` naming the offending line.
+    anything else raises ``BFileParseError`` naming the offending line.  Text
+    that is not UTF-8 raises it too.
     """
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    else:
-        raw = source.read()
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        lines = raw.splitlines()
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        else:
+            raw = source.read()
+            if isinstance(raw, bytes):
+                raw = raw.decode("utf-8")
+            lines = raw.splitlines()
+    except UnicodeDecodeError as exc:
+        raise BFileParseError(str(exc)) from None
 
     values: dict[int, int] = {}
     prev: int | None = None
@@ -323,11 +314,11 @@ def compare_oeis(
     separately from a genuine mismatch.
     """
     if from_n < 3:
-        raise ValueError(f"from_n must be >= 3, got {from_n}")
+        raise UsageError(f"from_n must be >= 3, got {from_n}")
     if from_n > to_n:
-        raise ValueError(f"empty range [{from_n}, {to_n}]")
+        raise UsageError(f"empty range [{from_n}, {to_n}]")
     if from_n < series.offset or to_n > series.last_index:
-        raise ValueError(
+        raise UsageError(
             f"range [{from_n}, {to_n}] outside series [{series.offset}, {series.last_index}]"
         )
     mismatches = []

@@ -25,7 +25,7 @@ from .census import (
     run_chain_census,
     theorem_report,
 )
-from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError
+from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError, UsageError
 from .numtheory import build_factor_table  # noqa: F401  # perfbench/spans.py wraps this name
 from .numtheory import compute_z, rough_count
 from .tiling import DEFAULT_NODE_BUDGET, check_perfect, solve_m, tiling_to_json
@@ -253,7 +253,7 @@ def dispatch(config: RunConfig) -> int:
     except InternalConsistencyError as exc:
         _log(f"internal consistency error: {exc}")
         return EXIT_INTERNAL
-    except (BFileParseError, OSError, ValueError) as exc:
+    except (BFileParseError, OSError, UsageError) as exc:
         _log(f"error: {exc}")
         return EXIT_USAGE
     return status

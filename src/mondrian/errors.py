@@ -35,5 +35,14 @@ class InternalConsistencyError(RuntimeError):
     """
 
 
+class UsageError(ValueError):
+    """An input outside the domain that a command accepts; the CLI exits 2 on it.
+
+    Raised only by the input checks that a command line can reach, so any
+    other ValueError from inside a command is a fault and is not reported
+    as the user's mistake.
+    """
+
+
 class BFileParseError(ValueError):
     """A b-file line could not be parsed; the message names the line."""

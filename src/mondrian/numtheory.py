@@ -2,9 +2,10 @@
 
 The load-bearing objects are factorisation by trial division, the witness
 filter over proper divisors of n² (``witness_report``), a blocked divisor sieve
-that gives the censuses spf, tau(n) and tau(n²) in O(block) memory, and exact
-counting primitives: z-rough integers by a floor-quotient sieve over the
-O(sqrt x) values x // k (``rough_count``), and the divisor summatory function.
+that gives the censuses spf, tau(n), tau(n²) and the least witness bound of
+``_prime_bound`` in O(block) memory, and exact counting primitives: z-rough
+integers by a floor-quotient sieve over the O(sqrt x) values x // k
+(``rough_count``), and the divisor summatory function.
 ``FactorTable`` remains as a standalone spf table that no other function uses.
 All arithmetic is exact integer arithmetic; the only floats are the analytic
 reference quantities (thresholds, Mertens-type densities).
@@ -19,6 +20,8 @@ from fractions import Fraction
 from typing import Iterator
 
 import numpy as np
+
+from .errors import UsageError
 
 __all__ = [
     "FactorTable",
@@ -46,7 +49,7 @@ _E_TO_E = math.exp(math.e)
 # this bound, where x // k stays far inside int64
 ROUGH_SAFE_LIMIT = 10**13
 
-# integers per divisor-sieve block: bounds its six int64 work arrays to 768 KiB
+# integers per divisor-sieve block: bounds its seven int64 work arrays to 896 KiB
 _BLOCK = 1 << 14
 
 
@@ -194,38 +197,46 @@ def _witnesses(n: int, factors: list[tuple[int, int]]) -> Iterator[tuple[int, in
         yield n2 // m, tau_d
 
 
-def _chain_tests(p_min, e_min, tau_n, tau_n2):
-    """(p2, p3, d_max is a witness) of n from spf(n), its exponent, tau(n) and tau(n²).
+def _prime_bound(p, a):
+    """p + ceil(p / 2a): the least tau(n²) at which n²/p is a filter witness, for p^a || n.
+
+    p's exponent drops from 2a in n² to 2a - 1 in n²/p, so tau(n²/p) =
+    tau(n²)·2a/(2a + 1), and n²/p is a witness iff that is >= p.  These co-divisors decide the
+    filter: if n²/m is a witness, so is n²/p for each prime p | m, because
+    n²/m divides n²/p and tau(n²/p) >= tau(n²/m) >= m >= p.  So n has a
+    witness iff tau(n²) >= _prime_bound(p, a) for some p^a exactly dividing
+    n.  Works on ints and, elementwise, on numpy integer arrays.
+    """
+    return p + 1 + (p - 1) // (2 * a)
+
+
+def _chain_tests(p_min, tau_n, tau_n2):
+    """(p2, p3) of n from spf(n), tau(n) and tau(n²).
 
     Both reductions are monotone in d, so only the largest proper divisor
-    d_max = n²/p_min of n² matters, and d_max·T < n² iff T < p_min.  d_max has
-    p_min's exponent 2e lowered by one, so tau(d_max) = tau(n²)·2e/(2e+1), and
-    d_max is a witness iff tau(d_max) >= p_min.  Works on ints and,
-    elementwise, on numpy integer arrays.
+    d_max = n²/p_min of n² matters, and d_max·T < n² iff T < p_min.  Works on
+    ints and, elementwise, on numpy integer arrays.
     """
-    return (
-        tau_n2 < p_min,
-        tau_n * tau_n < p_min,
-        tau_n2 // (2 * e_min + 1) * (2 * e_min) >= p_min,
-    )
+    return tau_n2 < p_min, tau_n * tau_n < p_min
 
 
 def witness_report(n: int) -> WitnessReport:
     """Search the proper divisors of n² for the smallest filter witness.
 
-    p1 holds iff the witness scan finds nothing; p2 and p3 come from
-    ``_chain_tests`` on tau(n) and tau(n²).
+    p1 holds iff the co-divisor walk ``_witnesses`` finds nothing; p2 and p3
+    come from ``_chain_tests`` on tau(n) and tau(n²).  The census takes p1
+    from ``_prime_bound`` instead, and this walk is its reference.
     """
     _check_range(n, minimum=3)
     if n > WITNESS_SAFE_LIMIT:
-        raise ValueError(f"n={n} exceeds the witness_report domain limit {WITNESS_SAFE_LIMIT}")
+        raise UsageError(f"n={n} exceeds the witness_report domain limit {WITNESS_SAFE_LIMIT}")
     factors = _factorize(n)
     first = next(_witnesses(n, factors), None)
     tau_n = tau_n2 = 1
     for _, e in factors:
         tau_n *= e + 1
         tau_n2 *= 2 * e + 1
-    p2, p3, _ = _chain_tests(*factors[0], tau_n, tau_n2)
+    p2, p3 = _chain_tests(factors[0][0], tau_n, tau_n2)
     witness = None if first is None else first[0]
     return WitnessReport(n=n, witness=witness, p1=first is None, p2=p2, p3=p3)
 
@@ -289,7 +300,7 @@ def rough_count(x: int, z: int) -> int:
     if z < 0:
         raise ValueError(f"z must be >= 0, got {z}")
     if x > ROUGH_SAFE_LIMIT:
-        raise ValueError(f"x={x} exceeds the rough_count limit {ROUGH_SAFE_LIMIT}")
+        raise UsageError(f"x={x} exceeds the rough_count limit {ROUGH_SAFE_LIMIT}")
     s, applied = _lucy(x, z)
     if z <= math.isqrt(x):
         return 1 + s - applied
@@ -324,7 +335,7 @@ def _tau_threshold(x: float) -> float:
 def compute_z(x: float) -> int:
     """Roughness bound z = floor((g(x) ln x ln ln x)²); requires x > e^e."""
     if x <= _E_TO_E:
-        raise ValueError(f"x must exceed e^e ~ {_E_TO_E:.6f}, got {x}")
+        raise UsageError(f"x must exceed e^e ~ {_E_TO_E:.6f}, got {x}")
     return math.floor(_tau_threshold(x) ** 2)
 
 
@@ -337,16 +348,21 @@ def tau_summatory(x: int) -> int:
 
 
 def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...]:
-    """(spf, e, tau(n), tau(n²), rest) for each n in [lo, hi), e the exponent of spf in n.
+    """(spf, e, tau(n), tau(n²), need) for each n in [lo, hi), e the exponent of spf in n.
 
     Needs 2 <= lo and every prime up to isqrt(hi - 1) in ascending ``primes``.
     Each prime crosses off its multiples, dividing itself out of an in-place
-    cofactor ``rest``; what is left is 1 or one prime beyond the sieve.  The
-    primes run in descending order, so the last to write spf and e at n is
-    the smallest prime dividing it; an n no prime crosses off is prime and
-    keeps spf = n.  A prime of exponent 1 multiplies tau(n) by 2 and tau(n²)
-    by 3, so those are only counted, and the exponents a >= 2 are worked out
-    on the multiples of p² alone.
+    cofactor; what is left is 1 or one prime beyond the sieve.  The primes run
+    in descending order, so the last to write spf and e at n is the smallest
+    prime dividing it; an n no prime crosses off is prime and keeps spf = n.
+    A prime of exponent 1 multiplies tau(n) by 2 and tau(n²) by 3, so those
+    are only counted, and the exponents a >= 2 are worked out on the
+    multiples of p² alone.
+
+    ``need`` is the least p + ceil(p / 2a) over the p^a exactly dividing n:
+    n has a filter witness iff tau(n²) >= need (``_prime_bound``).  Among
+    the primes of exponent 1 the smallest gives the least bound, so after
+    the a >= 2 primes only spf is still to be taken in.
     """
     size = hi - lo
     spf = np.arange(lo, hi, dtype=np.int64)
@@ -355,6 +371,7 @@ def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...
     tau_n = np.ones(size, dtype=np.int64)  # prod of a + 1 over the primes with a >= 2
     tau_n2 = np.ones(size, dtype=np.int64)  # prod of 2a + 1 over the same primes
     e = np.ones(size, dtype=np.int64)
+    need = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
     for p in reversed(primes):
         s = -lo % p
         spf[s::p] = p
@@ -376,14 +393,16 @@ def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...
             tau_n[s::q] *= a + 1
             tau_n2[s::q] *= 2 * a + 1
             e[s::q] = a
+            need[s::q] = np.minimum(need[s::q], _prime_bound(p, a))
     once += rest > 1
     tau_n <<= once
     tau_n2 *= 3**once
-    return spf, e, tau_n, tau_n2, rest
+    np.minimum(need, _prime_bound(spf, e), out=need)
+    return spf, e, tau_n, tau_n2, need
 
 
 def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
-    """(start, spf, e, tau(n), tau(n²), rest) for each ``_BLOCK``-integer block of [lo, hi)."""
+    """(start, spf, e, tau(n), tau(n²), need) for each ``_BLOCK``-integer block of [lo, hi)."""
     primes = _primes_upto(math.isqrt(hi - 1))
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)

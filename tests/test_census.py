@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mondrian import census, numtheory
+from mondrian import numtheory
 from mondrian.census import (
     CENSUS_CSV_HEADER,
     EULER_GAMMA,
@@ -30,6 +30,7 @@ from mondrian.numtheory import (
     witness_report,
 )
 from oracles import (
+    naive_factorization,
     naive_is_rough,
     naive_predicates,
     naive_spf,
@@ -131,40 +132,46 @@ class TestBlockedPass:
     def test_every_n_matches_witness_report(self, reference, monkeypatch, block):
         monkeypatch.setattr(numtheory, "_BLOCK", block)
         rows = []
-        for start, spf, e, tau_n, tau_n2, rest in numtheory._divisor_blocks(3, self.LIMIT + 1):
+        for start, spf, e, tau_n, tau_n2, need in numtheory._divisor_blocks(3, self.LIMIT + 1):
             assert start == 3 + len(rows)
-            p1, p2, p3 = _block_predicates(start, spf, e, tau_n, tau_n2, rest)
+            p1, p2, p3 = _block_predicates(spf, tau_n, tau_n2, need)
             rows.extend(zip(spf.tolist(), e.tolist(), tau_n.tolist(), tau_n2.tolist(),
                             p1.tolist(), p2.tolist(), p3.tolist()))
         assert len(rows) == len(reference)
         mismatched = [n for n, got, want in zip(range(3, self.LIMIT + 1), rows, reference) if got != want]
         assert not mismatched
 
-    def test_residue_scan_sees_the_full_factorisation(self, monkeypatch):
-        # no residue n <= LIMIT has a witness, so p1 alone would not notice a
-        # dropped factor: the prime the sieve leaves over must rejoin n // rest
-        seen = []
+    def test_need_is_the_least_prime_bound(self):
+        # p + ceil(p / 2a) minimised over n's primes, from the naive factorisation
+        want = [
+            min(p + -(-p // (2 * a)) for p, a in naive_factorization(n))
+            for n in range(3, self.LIMIT + 1)
+        ]
+        got = []
+        for _, _, _, _, _, need in numtheory._divisor_blocks(3, self.LIMIT + 1):
+            got.extend(need.tolist())
+        assert got == want
 
-        def spy(n, factors):
-            seen.append((n, factors))
-            return witnesses(n, factors)
-
-        witnesses = census._witnesses
-        monkeypatch.setattr(census, "_witnesses", spy)
-        for start, *arrays in numtheory._divisor_blocks(3, self.LIMIT + 1):
-            _block_predicates(start, *arrays)
-        assert any(factors[-1][0] ** 2 > n for n, factors in seen)
-        assert all(factors == _factorize(n) for n, factors in seen)
-
-    def test_residue_scan_finds_a_witness_beyond_d_max(self):
-        # the only n <= 10^7 whose witness the d_max test misses: d_max = n²/19
-        # has tau 18 < 19, but d = n²/23 has tau 24 >= 23
+    def test_need_takes_a_larger_prime_of_higher_exponent(self):
+        # 23's bound 23 + ceil(23/8) = 26 is below spf 19's 19 + ceil(19/2) = 29,
+        # and tau(n²) = 3·9 = 27 lies between them
         n = 19 * 23**4
-        [(start, spf, e, tau_n, tau_n2, rest)] = numtheory._divisor_blocks(n, n + 1)
-        p2, _, refuted = numtheory._chain_tests(spf, e, tau_n, tau_n2)
-        assert not p2[0] and not refuted[0]
-        p1, _, _ = _block_predicates(start, spf, e, tau_n, tau_n2, rest)
-        assert not p1[0]
+        [(_, spf, e, tau_n, tau_n2, need)] = numtheory._divisor_blocks(n, n + 1)
+        assert (spf[0], e[0], tau_n2[0], need[0]) == (19, 1, 27, 26)
+        # 31's bound 31 + ceil(31/8) = 35 is below 29's 29 + ceil(29/4) = 37,
+        # though 29 is both spf and the first prime of exponent >= 2
+        n = 29**2 * 31**4
+        [(_, _, _, _, _, need)] = numtheory._divisor_blocks(n, n + 1)
+        assert need[0] == 35
+
+    def test_p1_finds_a_witness_beyond_d_max(self):
+        # the only n <= 10^7 that p2's test at d_max = n²/19 does not settle:
+        # tau(d_max) = 18 < 19, but d = n²/23 has tau 24 >= 23
+        n = 19 * 23**4
+        [(_, spf, _, tau_n, tau_n2, need)] = numtheory._divisor_blocks(n, n + 1)
+        p1, p2, _ = _block_predicates(spf, tau_n, tau_n2, need)
+        assert not p2[0] and not p1[0]
+        assert list(numtheory._witnesses(n, _factorize(n))) == [(n * n // 23, 24)]
 
     def test_census_independent_of_block_size(self, monkeypatch):
         base = run_chain_census(10**5)

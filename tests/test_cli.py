@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import DATA_DIR
-from mondrian import numtheory
+from mondrian import cli, numtheory
 from mondrian.cli import RunConfig, dispatch, main, parse_args
 from mondrian.tiling import tiling_from_json, verify_tiling
 
@@ -186,6 +186,37 @@ class TestDispatch:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert tiling_from_json(target.read_text()).defect == 2
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["rough", "--x", "10"], "error: x must exceed e^e ~ 15.154262, got 10\n"),
+            (["perfect", "--n", "1000001"],
+             "error: n=1000001 exceeds the witness_report domain limit 1000000\n"),
+            (["verify-oeis", "--bfile", str(DATA_DIR / "b276523.txt"), "--from", "3", "--to", "25"],
+             "error: range [3, 25] outside series [3, 20]\n"),
+            (["verify-oeis", "--bfile", str(DATA_DIR / "b276523.txt"), "--from", "5", "--to", "4"],
+             "error: empty range [5, 4]\n"),
+        ],
+        ids=["rough-small-x", "perfect-beyond-witness-limit", "oeis-outside-series", "oeis-empty"],
+    )
+    def test_input_out_of_domain_is_usage_error(self, capsys, args, message):
+        assert main(args) == 2
+        assert capsys.readouterr() == ("", message)
+
+    def test_undecodable_bfile_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "b.txt"
+        bad.write_bytes(b"\xff\xfe 1 2\n")
+        assert main(["verify-oeis", "--bfile", str(bad), "--from", "3", "--to", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
+    def test_fault_inside_a_command_is_not_a_usage_error(self, monkeypatch):
+        def fault(x):
+            raise ValueError("a fault, not bad input")
+
+        monkeypatch.setattr(cli, "run_chain_census", fault)
+        with pytest.raises(ValueError, match="a fault, not bad input"):
+            main(["census", "--x", "100"])
 
     @pytest.mark.parametrize("command", list(ARGV_BY_COMMAND))
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, command):

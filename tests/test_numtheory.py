@@ -20,6 +20,7 @@ from mondrian.numtheory import (
     witness_report,
     ROUGH_SAFE_LIMIT,
     _factorize,
+    _prime_bound,
     _primes_upto,
     _tau_threshold,
     _witnesses,
@@ -216,6 +217,27 @@ class TestWitnesses:
         got = list(_witnesses(n, _factorize(n)))
         assert got == brute_witnesses(n)
         assert len(got) == count
+
+
+class TestPrimeWitnessLemma:
+    """n has a witness iff n²/p is one for some prime p | n, the census's p1 test."""
+
+    def test_a_witness_iff_a_prime_co_divisor_is_one(self):
+        # n²/p has tau(n²)·2a/(2a+1) divisors for p^a || n, and is a witness iff that is >= p
+        mismatched = []
+        for n in range(3, 2 * 10**4 + 1):
+            fac = naive_factorization(n)
+            tau_n2 = math.prod(2 * a + 1 for _, a in fac)
+            by_prime = any(tau_n2 * 2 * a >= p * (2 * a + 1) for p, a in fac)
+            if bool(brute_witnesses(n)) != by_prime:
+                mismatched.append(n)
+        assert not mismatched
+
+    def test_prime_bound_is_the_least_witnessing_tau(self):
+        for p in _primes_upto(200):
+            for a in range(1, 9):
+                least = -(-p * (2 * a + 1) // (2 * a))  # ceil(p(2a+1) / 2a)
+                assert _prime_bound(p, a) == least, (p, a)
 
 
 class TestIsRough:
