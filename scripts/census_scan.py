@@ -17,13 +17,14 @@ import sys
 import time
 
 from mondrian.census import CENSUS_CSV_HEADER, census_csv_row, run_chain_census
+from mondrian.cli import _at_least
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    parser.add_argument("--xs", type=int, nargs="+", required=True,
+    parser.add_argument("--xs", type=_at_least(16), nargs="+", required=True,
                         help="census checkpoints (each >= 16)")
     parser.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     args = parser.parse_args()

@@ -12,15 +12,16 @@ import sys
 import time
 
 from mondrian.census import load_bfile
+from mondrian.cli import _at_least
 from mondrian.errors import BudgetExceededError
 from mondrian.tiling import solve_m, verify_tiling
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--from", type=int, default=3, dest="from_n")
+    parser.add_argument("--from", type=_at_least(3), default=3, dest="from_n")
     parser.add_argument("--to", type=int, default=12, dest="to_n")
-    parser.add_argument("--budget", type=int, default=10**9)
+    parser.add_argument("--budget", type=_at_least(1), default=10**9)
     parser.add_argument("--bfile", default=None)
     args = parser.parse_args()
 

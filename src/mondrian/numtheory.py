@@ -14,7 +14,7 @@ reference quantities (thresholds, Mertens-type densities).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -49,8 +49,16 @@ _E_TO_E = math.exp(math.e)
 # this bound, where x // k stays far inside int64
 ROUGH_SAFE_LIMIT = 10**13
 
-# integers per divisor-sieve block: bounds its seven int64 work arrays to 896 KiB
+# integers per divisor-sieve block: bounds its seven int64 work arrays to 896 KiB,
+# and each int64 array of the indexed tier to under 240 KiB: those hold one entry
+# per multiple, sum(1/p) over the primes 8 < p <= isqrt(x) per integer (1.8 at x = 10**13)
 _BLOCK = 1 << 14
+
+# the divisor sieve's tier cutoff: primes below it take strided slices, the rest
+# one indexed pass per block (the sweep in BENCH_census_batch.json chose it)
+_STRIDED_BELOW = 8
+
+_POW3 = 3 ** np.arange(16, dtype=np.int64)  # 3**k for k < 16: an int64 has at most 15 primes
 
 
 @dataclass(frozen=True)
@@ -351,33 +359,64 @@ def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...
     """(spf, e, tau(n), tau(n²), need) for each n in [lo, hi), e the exponent of spf in n.
 
     Needs 2 <= lo and every prime up to isqrt(hi - 1) in ascending ``primes``.
-    Each prime crosses off its multiples, dividing itself out of an in-place
-    cofactor; what is left is 1 or one prime beyond the sieve.  The primes run
-    in descending order, so the last to write spf and e at n is the smallest
-    prime dividing it; an n no prime crosses off is prime and keeps spf = n.
     A prime of exponent 1 multiplies tau(n) by 2 and tau(n²) by 3, so those
     are only counted, and the exponents a >= 2 are worked out on the
-    multiples of p² alone.
+    multiples of p² alone.  The sieved prime powers multiply to n, or to n
+    over one prime beyond the sieve; an n no prime crosses off is prime and
+    keeps spf = n.
+
+    The primes are sieved in two tiers.  Those of ``_STRIDED_BELOW`` and up
+    have few multiples in a block, where a strided slice costs a numpy call
+    per array and prime, so they go through one indexed pass over all their
+    multiples (``_multiples``), and again over those of their squares, with
+    ``ufunc.at`` wherever two primes may share an index.  spf is the least
+    of them (``minimum.at``), and e is written only where spf is the p of the
+    p² pass.  This tier runs first: the small primes then take one strided
+    slice per array, largest first, so their plain writes of spf and e land
+    last and the smallest prime dividing n is the one that stays.
 
     ``need`` is the least p + ceil(p / 2a) over the p^a exactly dividing n:
     n has a filter witness iff tau(n²) >= need (``_prime_bound``).  Among
-    the primes of exponent 1 the smallest gives the least bound, so after
-    the a >= 2 primes only spf is still to be taken in.
+    the primes of exponent 1 the smallest gives the least bound, and a spf
+    of exponent a >= 2 got its lower bound in the p² pass, so after the
+    primes only spf's bound with a = 1 is still to be taken in.
     """
     size = hi - lo
+    split = bisect_left(primes, _STRIDED_BELOW)
+    large = np.array(primes[split:], dtype=np.int64)
     spf = np.arange(lo, hi, dtype=np.int64)
-    rest = spf.copy()
-    once = np.zeros(size, dtype=np.int64)  # sieved primes dividing n exactly once
+    e = np.ones(size, dtype=np.int64)
     tau_n = np.ones(size, dtype=np.int64)  # prod of a + 1 over the primes with a >= 2
     tau_n2 = np.ones(size, dtype=np.int64)  # prod of 2a + 1 over the same primes
-    e = np.ones(size, dtype=np.int64)
     need = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-    for p in reversed(primes):
+    # large tier: every multiple of every large prime, then of its square
+    idx, p = _multiples(lo, size, large)
+    np.minimum.at(spf, idx, p)
+    once = np.bincount(idx, minlength=size)  # sieved primes dividing n exactly once
+    power = np.ones(size, dtype=np.int64)  # prod of the sieved prime powers p^a dividing n
+    np.multiply.at(power, idx, p)
+    idx, p = _multiples(lo, size, large, 2)
+    # a - 2 = v_p(m) for m = n / p², dividing only the m still divisible by p
+    m = (lo + idx) // (p * p)
+    a = np.full(len(idx), 2, dtype=np.int64)
+    live = np.arange(len(idx))
+    while len(live := live[m[live] % p[live] == 0]):
+        m[live] //= p[live]
+        a[live] += 1
+    once -= np.bincount(idx, minlength=size)
+    np.multiply.at(power, idx, p ** (a - 1))
+    np.multiply.at(tau_n, idx, a + 1)
+    np.multiply.at(tau_n2, idx, 2 * a + 1)
+    np.minimum.at(need, idx, _prime_bound(p, a))
+    least = spf[idx] == p
+    e[idx[least]] = a[least]
+    # small tier: one strided slice per prime, largest first
+    for p in reversed(primes[:split]):
         s = -lo % p
         spf[s::p] = p
         e[s::p] = 1
         once[s::p] += 1
-        rest[s::p] //= p
+        power[s::p] *= p
         q = p * p
         s = -lo % q
         if s < size:
@@ -389,16 +428,31 @@ def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...
                 a[j::pk] += 1
                 pk *= p
             once[s::q] -= 1
-            rest[s::q] //= p ** (a - 1)
+            power[s::q] *= p ** (a - 1)
             tau_n[s::q] *= a + 1
             tau_n2[s::q] *= 2 * a + 1
             e[s::q] = a
             need[s::q] = np.minimum(need[s::q], _prime_bound(p, a))
-    once += rest > 1
+    # n / power is 1 or a prime beyond the sieve
+    once += power < np.arange(lo, hi, dtype=np.int64)
     tau_n <<= once
-    tau_n2 *= 3**once
-    np.minimum(need, _prime_bound(spf, e), out=need)
+    tau_n2 *= _POW3[once]
+    np.minimum(need, _prime_bound(spf, 1), out=need)
     return spf, e, tau_n, tau_n2, need
+
+
+def _multiples(lo: int, size: int, primes: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(index, p) for every multiple of p**k in [lo, lo + size), p over ``primes``.
+
+    The indices of each p form one run, built with ``np.repeat`` and no
+    Python loop over the primes.
+    """
+    steps = primes**k
+    first = -lo % steps
+    count = (size - first + steps - 1) // steps
+    step = np.repeat(steps, count)
+    start = np.repeat(first - steps * (np.cumsum(count) - count), count)
+    return start + step * np.arange(len(step)), np.repeat(primes, count)
 
 
 def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:

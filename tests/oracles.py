@@ -4,7 +4,9 @@ Everything here is written from first principles (trial division, full
 enumeration, list-based grids) so that it shares no code path with the
 library under test.  Only the certificate data classes ``Placement`` and
 ``Tiling`` come from the library, so that ``seed_cover_search`` returns what
-the kernel it checks returns.
+the kernel it checks returns, and ``divisor_block_oracle`` factors with the
+library's ``_factorize`` (itself checked against ``naive_factorization``),
+which is fast enough for a block of n near 10**12.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from mondrian.numtheory import _factorize
 from mondrian.tiling import Placement, Tiling
 
 
@@ -108,6 +111,25 @@ def naive_predicates(n: int) -> tuple[bool, bool, bool]:
     p2 = all(d * tau_n2 < n2 for d in proper)
     p3 = all(d * tau_n * tau_n < n2 for d in proper)
     return p1, p2, p3
+
+
+def divisor_block_oracle(lo: int, hi: int) -> list[tuple[int, int, int, int, int]]:
+    """(spf, e, tau(n), tau(n²), need) for each n in [lo, hi), one n at a time.
+
+    e is spf's exponent in n and need the least p + ceil(p / 2a) over the
+    p^a exactly dividing n: the rows of the divisor sieve's block arrays.
+    """
+    rows = []
+    for n in range(lo, hi):
+        fac = _factorize(n)
+        rows.append((
+            fac[0][0],
+            fac[0][1],
+            math.prod(a + 1 for _, a in fac),
+            math.prod(2 * a + 1 for _, a in fac),
+            min(p + -(-p // (2 * a)) for p, a in fac),
+        ))
+    return rows
 
 
 # ---------------------------------------------------------------------------

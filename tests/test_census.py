@@ -30,6 +30,7 @@ from mondrian.numtheory import (
     witness_report,
 )
 from oracles import (
+    divisor_block_oracle,
     naive_factorization,
     naive_is_rough,
     naive_predicates,
@@ -112,6 +113,14 @@ class TestRunChainCensus:
         assert r.count_excess_tau == 136162
 
 
+# the two least primes of the divisor sieve's indexed tier
+P, Q = [p for p in numtheory._primes_upto(100) if p >= numtheory._STRIDED_BELOW][:2]
+
+
+def around(n, width=100):
+    return n - width, n + width
+
+
 class TestBlockedPass:
     """The block arrays and predicates against the per-n reference, across block edges."""
 
@@ -178,6 +187,34 @@ class TestBlockedPass:
         for block in (997, 4099):
             monkeypatch.setattr(numtheory, "_BLOCK", block)
             assert run_chain_census(10**5) == base
+
+    @pytest.mark.parametrize("lo, hi", [
+        pytest.param(3, 3 + numtheory._BLOCK, id="first-block"),
+        pytest.param(P - 1, P * P + 2, id="cutoff-prime-and-square"),
+        pytest.param(2, numtheory._STRIDED_BELOW**2, id="no-indexed-tier"),
+        pytest.param(2 * 3**2 * P**3, 2 * 3**2 * P**3 + 1, id="one-integer"),
+        # q * p² with q < p both indexed: e stays q's exponent, 1
+        pytest.param(*around(101 * 9949**2), id="101*9949^2"),
+        pytest.param(*around(1009 * 3137**2), id="1009*3137^2"),
+        # two indexed squares at one n repeat an index in the p² pass
+        pytest.param(*around(P**3 * Q**2), id="P^3*Q^2"),
+        pytest.param(*around(97**2 * 1031**2), id="97^2*1031^2"),
+    ])
+    def test_block_arrays_match_the_factorisation(self, lo, hi):
+        primes = numtheory._primes_upto(math.isqrt(hi - 1))
+        arrays = numtheory._divisor_block(lo, hi, primes)
+        got = list(zip(*(a.tolist() for a in arrays)))
+        want = divisor_block_oracle(lo, hi)
+        assert len(got) == hi - lo
+        assert [n for n, g, w in zip(range(lo, hi), got, want) if g != w] == []
+
+    def test_census_independent_of_tier_cutoff(self, monkeypatch):
+        # every prime indexed, then every prime strided
+        x = 10**5
+        base = run_chain_census(x)
+        for cutoff in (2, math.isqrt(x) + 1):
+            monkeypatch.setattr(numtheory, "_STRIDED_BELOW", cutoff)
+            assert run_chain_census(x) == base
 
 
 class TestTheoremReport:

@@ -1,0 +1,36 @@
+"""The experiment scripts take their argument bounds at parse time: out of domain is exit 2, no traceback."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("census_scan.py", ["--xs", "1000", "10"], "argument --xs: must be >= 16, got 10"),
+    ("defect_table.py", ["--from", "2", "--to", "4"], "argument --from: must be >= 3, got 2"),
+    ("defect_table.py", ["--budget", "0"], "argument --budget: must be >= 1, got 0"),
+])
+def test_out_of_domain_argument_is_a_usage_error(name, args, message):
+    proc = run_script(name, *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name, args, rows", [
+    ("census_scan.py", ["--xs", "16"], 2),  # CSV header and one row
+    ("defect_table.py", ["--from", "3", "--to", "3"], 2),  # table header and n = 3
+])
+def test_least_argument_in_domain_runs(name, args, rows):
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == rows
