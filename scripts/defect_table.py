@@ -13,7 +13,7 @@ import time
 
 from mondrian.census import load_bfile
 from mondrian.cli import _at_least
-from mondrian.errors import BudgetExceededError
+from mondrian.errors import BFileParseError, BudgetExceededError
 from mondrian.tiling import solve_m, verify_tiling
 
 
@@ -25,7 +25,10 @@ def main() -> int:
     parser.add_argument("--bfile", default=None)
     args = parser.parse_args()
 
-    series = load_bfile(args.bfile) if args.bfile else None
+    try:
+        series = load_bfile(args.bfile) if args.bfile else None
+    except (BFileParseError, OSError) as exc:
+        parser.error(f"argument --bfile: {exc}")
     bad = 0
     print(f"{'n':>4} {'M(n)':>5} {'pieces':>7} {'seconds':>8}  reference")
     for n in range(args.from_n, args.to_n + 1):

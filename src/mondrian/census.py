@@ -129,7 +129,7 @@ def run_chain_census(x: int) -> CensusRecord:
     threshold = _tau_threshold(x)
 
     count_p1 = count_p2 = count_p3 = count_rst = count_excess = 0
-    for start, spf, _, tau_n, tau_n2, need in _divisor_blocks(3, x + 1):
+    for start, spf, tau_n, tau_n2, need in _divisor_blocks(3, x + 1):
         p1, p2, p3 = _block_predicates(spf, tau_n, tau_n2, need)
         rough_small = (spf > z) & (tau_n <= threshold)
         broken = (rough_small & ~p3) | (p3 & ~p2) | (p2 & ~p1)

@@ -49,7 +49,7 @@ _E_TO_E = math.exp(math.e)
 # this bound, where x // k stays far inside int64
 ROUGH_SAFE_LIMIT = 10**13
 
-# integers per divisor-sieve block: bounds its seven int64 work arrays to 896 KiB,
+# integers per divisor-sieve block: bounds its six int64 work arrays to 768 KiB,
 # and each int64 array of the indexed tier to under 240 KiB: those hold one entry
 # per multiple, sum(1/p) over the primes 8 < p <= isqrt(x) per integer (1.8 at x = 10**13)
 _BLOCK = 1 << 14
@@ -160,18 +160,25 @@ def divisors(n: int) -> list[int]:
 class WitnessReport:
     """Outcome of the proper-divisor filter for a single n.
 
-    ``witness`` is the smallest proper divisor d of n² with d·tau(d) >= n²,
-    or None when no such divisor exists (then ``p1`` is True).  ``p2`` and
-    ``p3`` are the successively stronger reduction predicates
-    d·tau(n²) < n² and d·tau(n)² < n², quantified over all proper divisors;
-    p3 implies p2 implies p1.
+    ``witnesses`` are the proper divisors d of n² with d·tau(d) >= n², in
+    ascending order; ``witness`` is the first, or None when there is none
+    (then ``p1`` is True).  ``p2`` and ``p3`` are the successively stronger
+    reduction predicates d·tau(n²) < n² and d·tau(n)² < n², quantified over
+    all proper divisors; p3 implies p2 implies p1.
     """
 
     n: int
-    witness: int | None
-    p1: bool
+    witnesses: tuple[int, ...]
     p2: bool
     p3: bool
+
+    @property
+    def witness(self) -> int | None:
+        return self.witnesses[0] if self.witnesses else None
+
+    @property
+    def p1(self) -> bool:
+        return not self.witnesses
 
 
 def _witnesses(n: int, factors: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
@@ -229,7 +236,7 @@ def _chain_tests(p_min, tau_n, tau_n2):
 
 
 def witness_report(n: int) -> WitnessReport:
-    """Search the proper divisors of n² for the smallest filter witness.
+    """Search the proper divisors of n² for every filter witness, in one walk.
 
     p1 holds iff the co-divisor walk ``_witnesses`` finds nothing; p2 and p3
     come from ``_chain_tests`` on tau(n) and tau(n²).  The census takes p1
@@ -239,14 +246,13 @@ def witness_report(n: int) -> WitnessReport:
     if n > WITNESS_SAFE_LIMIT:
         raise UsageError(f"n={n} exceeds the witness_report domain limit {WITNESS_SAFE_LIMIT}")
     factors = _factorize(n)
-    first = next(_witnesses(n, factors), None)
+    witnesses = tuple(d for d, _ in _witnesses(n, factors))
     tau_n = tau_n2 = 1
     for _, e in factors:
         tau_n *= e + 1
         tau_n2 *= 2 * e + 1
     p2, p3 = _chain_tests(factors[0][0], tau_n, tau_n2)
-    witness = None if first is None else first[0]
-    return WitnessReport(n=n, witness=witness, p1=first is None, p2=p2, p3=p3)
+    return WitnessReport(n=n, witnesses=witnesses, p2=p2, p3=p3)
 
 
 def is_rough(n: int, z: int) -> bool:
@@ -356,7 +362,7 @@ def tau_summatory(x: int) -> int:
 
 
 def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...]:
-    """(spf, e, tau(n), tau(n²), need) for each n in [lo, hi), e the exponent of spf in n.
+    """(spf, tau(n), tau(n²), need) for each n in [lo, hi).
 
     Needs 2 <= lo and every prime up to isqrt(hi - 1) in ascending ``primes``.
     A prime of exponent 1 multiplies tau(n) by 2 and tau(n²) by 3, so those
@@ -369,11 +375,10 @@ def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...
     have few multiples in a block, where a strided slice costs a numpy call
     per array and prime, so they go through one indexed pass over all their
     multiples (``_multiples``), and again over those of their squares, with
-    ``ufunc.at`` wherever two primes may share an index.  spf is the least
-    of them (``minimum.at``), and e is written only where spf is the p of the
-    p² pass.  This tier runs first: the small primes then take one strided
-    slice per array, largest first, so their plain writes of spf and e land
-    last and the smallest prime dividing n is the one that stays.
+    ``ufunc.at`` wherever two primes may share an index; spf is the least
+    of them (``minimum.at``).  This tier runs first: the small primes then
+    take one strided slice per array, largest first, so their plain writes
+    of spf land last and the smallest prime dividing n is the one that stays.
 
     ``need`` is the least p + ceil(p / 2a) over the p^a exactly dividing n:
     n has a filter witness iff tau(n²) >= need (``_prime_bound``).  Among
@@ -385,7 +390,6 @@ def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...
     split = bisect_left(primes, _STRIDED_BELOW)
     large = np.array(primes[split:], dtype=np.int64)
     spf = np.arange(lo, hi, dtype=np.int64)
-    e = np.ones(size, dtype=np.int64)
     tau_n = np.ones(size, dtype=np.int64)  # prod of a + 1 over the primes with a >= 2
     tau_n2 = np.ones(size, dtype=np.int64)  # prod of 2a + 1 over the same primes
     need = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
@@ -408,13 +412,10 @@ def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...
     np.multiply.at(tau_n, idx, a + 1)
     np.multiply.at(tau_n2, idx, 2 * a + 1)
     np.minimum.at(need, idx, _prime_bound(p, a))
-    least = spf[idx] == p
-    e[idx[least]] = a[least]
     # small tier: one strided slice per prime, largest first
     for p in reversed(primes[:split]):
         s = -lo % p
         spf[s::p] = p
-        e[s::p] = 1
         once[s::p] += 1
         power[s::p] *= p
         q = p * p
@@ -431,14 +432,13 @@ def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...
             power[s::q] *= p ** (a - 1)
             tau_n[s::q] *= a + 1
             tau_n2[s::q] *= 2 * a + 1
-            e[s::q] = a
             need[s::q] = np.minimum(need[s::q], _prime_bound(p, a))
     # n / power is 1 or a prime beyond the sieve
     once += power < np.arange(lo, hi, dtype=np.int64)
     tau_n <<= once
     tau_n2 *= _POW3[once]
     np.minimum(need, _prime_bound(spf, 1), out=need)
-    return spf, e, tau_n, tau_n2, need
+    return spf, tau_n, tau_n2, need
 
 
 def _multiples(lo: int, size: int, primes: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -456,7 +456,7 @@ def _multiples(lo: int, size: int, primes: np.ndarray, k: int = 1) -> tuple[np.n
 
 
 def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
-    """(start, spf, e, tau(n), tau(n²), need) for each ``_BLOCK``-integer block of [lo, hi)."""
+    """(start, spf, tau(n), tau(n²), need) for each ``_BLOCK``-integer block of [lo, hi)."""
     primes = _primes_upto(math.isqrt(hi - 1))
     for start in range(lo, hi, _BLOCK):
         stop = min(start + _BLOCK, hi)
@@ -473,4 +473,4 @@ def census_excess_tau(x: int) -> int:
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     threshold = _tau_threshold(x)
-    return sum(int((tau_n > threshold).sum()) for _, _, _, tau_n, _, _ in _divisor_blocks(3, x + 1))
+    return sum(int((tau_n > threshold).sum()) for _, _, tau_n, _, _ in _divisor_blocks(3, x + 1))

@@ -50,7 +50,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, InternalConsistencyError
-from .numtheory import _factorize, _witnesses, witness_report
+from .numtheory import witness_report
 
 __all__ = [
     "Rect",
@@ -492,11 +492,7 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
     if report.p1:
         return PerfectCheckOutcome(n, PerfectVerdict.FILTER_EXCLUDED, None, None, 0)
     n2 = n * n
-    fitting = [
-        (d, rects)
-        for d, _ in _witnesses(n, _factorize(n))
-        if len(rects := rects_with_area(d, n)) * d >= n2
-    ]
+    fitting = [(d, rects) for d in report.witnesses if len(rects := rects_with_area(d, n)) * d >= n2]
     spent = 0
     for i, (d, rects) in enumerate(fitting):
         try:

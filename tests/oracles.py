@@ -113,18 +113,17 @@ def naive_predicates(n: int) -> tuple[bool, bool, bool]:
     return p1, p2, p3
 
 
-def divisor_block_oracle(lo: int, hi: int) -> list[tuple[int, int, int, int, int]]:
-    """(spf, e, tau(n), tau(n²), need) for each n in [lo, hi), one n at a time.
+def divisor_block_oracle(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
+    """(spf, tau(n), tau(n²), need) for each n in [lo, hi), one n at a time.
 
-    e is spf's exponent in n and need the least p + ceil(p / 2a) over the
-    p^a exactly dividing n: the rows of the divisor sieve's block arrays.
+    need is the least p + ceil(p / 2a) over the p^a exactly dividing n: the
+    rows of the divisor sieve's block arrays.
     """
     rows = []
     for n in range(lo, hi):
         fac = _factorize(n)
         rows.append((
             fac[0][0],
-            fac[0][1],
             math.prod(a + 1 for _, a in fac),
             math.prod(2 * a + 1 for _, a in fac),
             min(p + -(-p // (2 * a)) for p, a in fac),

@@ -131,20 +131,17 @@ class TestBlockedPass:
         rows = []
         for n in range(3, self.LIMIT + 1):
             rep = witness_report(n)
-            rows.append(
-                (naive_spf(n), _factorize(n)[0][1], tau(n), tau_of_square(n),
-                 rep.p1, rep.p2, rep.p3)
-            )
+            rows.append((naive_spf(n), tau(n), tau_of_square(n), rep.p1, rep.p2, rep.p3))
         return rows
 
     @pytest.mark.parametrize("block", [997, 4099, numtheory._BLOCK])
     def test_every_n_matches_witness_report(self, reference, monkeypatch, block):
         monkeypatch.setattr(numtheory, "_BLOCK", block)
         rows = []
-        for start, spf, e, tau_n, tau_n2, need in numtheory._divisor_blocks(3, self.LIMIT + 1):
+        for start, spf, tau_n, tau_n2, need in numtheory._divisor_blocks(3, self.LIMIT + 1):
             assert start == 3 + len(rows)
             p1, p2, p3 = _block_predicates(spf, tau_n, tau_n2, need)
-            rows.extend(zip(spf.tolist(), e.tolist(), tau_n.tolist(), tau_n2.tolist(),
+            rows.extend(zip(spf.tolist(), tau_n.tolist(), tau_n2.tolist(),
                             p1.tolist(), p2.tolist(), p3.tolist()))
         assert len(rows) == len(reference)
         mismatched = [n for n, got, want in zip(range(3, self.LIMIT + 1), rows, reference) if got != want]
@@ -157,7 +154,7 @@ class TestBlockedPass:
             for n in range(3, self.LIMIT + 1)
         ]
         got = []
-        for _, _, _, _, _, need in numtheory._divisor_blocks(3, self.LIMIT + 1):
+        for _, _, _, _, need in numtheory._divisor_blocks(3, self.LIMIT + 1):
             got.extend(need.tolist())
         assert got == want
 
@@ -165,19 +162,19 @@ class TestBlockedPass:
         # 23's bound 23 + ceil(23/8) = 26 is below spf 19's 19 + ceil(19/2) = 29,
         # and tau(n²) = 3·9 = 27 lies between them
         n = 19 * 23**4
-        [(_, spf, e, tau_n, tau_n2, need)] = numtheory._divisor_blocks(n, n + 1)
-        assert (spf[0], e[0], tau_n2[0], need[0]) == (19, 1, 27, 26)
+        [(_, spf, tau_n, tau_n2, need)] = numtheory._divisor_blocks(n, n + 1)
+        assert (spf[0], tau_n2[0], need[0]) == (19, 27, 26)
         # 31's bound 31 + ceil(31/8) = 35 is below 29's 29 + ceil(29/4) = 37,
         # though 29 is both spf and the first prime of exponent >= 2
         n = 29**2 * 31**4
-        [(_, _, _, _, _, need)] = numtheory._divisor_blocks(n, n + 1)
+        [(_, _, _, _, need)] = numtheory._divisor_blocks(n, n + 1)
         assert need[0] == 35
 
     def test_p1_finds_a_witness_beyond_d_max(self):
         # the only n <= 10^7 that p2's test at d_max = n²/19 does not settle:
         # tau(d_max) = 18 < 19, but d = n²/23 has tau 24 >= 23
         n = 19 * 23**4
-        [(_, spf, _, tau_n, tau_n2, need)] = numtheory._divisor_blocks(n, n + 1)
+        [(_, spf, tau_n, tau_n2, need)] = numtheory._divisor_blocks(n, n + 1)
         p1, p2, _ = _block_predicates(spf, tau_n, tau_n2, need)
         assert not p2[0] and not p1[0]
         assert list(numtheory._witnesses(n, _factorize(n))) == [(n * n // 23, 24)]
@@ -193,7 +190,7 @@ class TestBlockedPass:
         pytest.param(P - 1, P * P + 2, id="cutoff-prime-and-square"),
         pytest.param(2, numtheory._STRIDED_BELOW**2, id="no-indexed-tier"),
         pytest.param(2 * 3**2 * P**3, 2 * 3**2 * P**3 + 1, id="one-integer"),
-        # q * p² with q < p both indexed: e stays q's exponent, 1
+        # q * p² with q < p both indexed: spf is q, and the exponent 2 is p's
         pytest.param(*around(101 * 9949**2), id="101*9949^2"),
         pytest.param(*around(1009 * 3137**2), id="1009*3137^2"),
         # two indexed squares at one n repeat an index in the p² pass

@@ -194,7 +194,12 @@ class TestWitnesses:
 
     def test_matches_brute_force_to_3000(self):
         for n in range(2, 3001):
-            assert list(_witnesses(n, _factorize(n))) == brute_witnesses(n), n
+            want = brute_witnesses(n)
+            assert list(_witnesses(n, _factorize(n))) == want, n
+            if n >= 3:  # witness_report's domain
+                r = witness_report(n)
+                assert list(r.witnesses) == [d for d, _ in want], n
+                assert (r.witness, r.p1) == (want[0][0] if want else None, not want), n
 
     def test_equality_cases(self):
         # d*tau(d) == n² exactly: the co-divisor m equals tau(d)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+MALFORMED_BFILE = Path(__file__).resolve().parent / "data" / "malformed_bfile.txt"
 
 
 def run_script(name, *args):
@@ -18,6 +19,10 @@ def run_script(name, *args):
     ("census_scan.py", ["--xs", "1000", "10"], "argument --xs: must be >= 16, got 10"),
     ("defect_table.py", ["--from", "2", "--to", "4"], "argument --from: must be >= 3, got 2"),
     ("defect_table.py", ["--budget", "0"], "argument --budget: must be >= 1, got 0"),
+    ("defect_table.py", ["--bfile", "no-such-bfile.txt"],
+     "argument --bfile: [Errno 2] No such file or directory: 'no-such-bfile.txt'"),
+    ("defect_table.py", ["--bfile", str(MALFORMED_BFILE)],
+     "argument --bfile: line 3: non-contiguous index 5 after 3"),
 ])
 def test_out_of_domain_argument_is_a_usage_error(name, args, message):
     proc = run_script(name, *args)

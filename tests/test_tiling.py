@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mondrian import tiling
+from mondrian import numtheory, tiling
 from mondrian.census import load_bfile
 from mondrian.cli import main
 from mondrian.errors import BudgetExceededError, InternalConsistencyError
@@ -575,6 +575,23 @@ class TestCheckPerfect:
         out = check_perfect(12)
         assert out.verdict is PerfectVerdict.EXHAUSTED
         assert out.nodes_searched > 0
+
+    def test_one_witness_walk_per_n(self, monkeypatch):
+        # the fitting witnesses come from witness_report's walk, not a second one
+        walk = numtheory._witnesses
+        calls = []
+
+        def counted(n, factors):
+            calls.append(n)
+            return walk(n, factors)
+
+        for module in (numtheory, tiling):  # wherever a caller looks the walk up
+            if getattr(module, "_witnesses", None) is walk:
+                monkeypatch.setattr(module, "_witnesses", counted)
+        for n in range(3, 61):
+            calls.clear()
+            check_perfect(n)
+            assert calls == [n], n
 
 
 class TestCertificateJson:
