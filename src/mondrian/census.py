@@ -32,7 +32,7 @@ from .numtheory import (
     census_excess_tau,  # noqa: F401  # perfbench/spans.py wraps this name
     compute_z,
     mertens_product,
-    rough_count,
+    rough_count,  # noqa: F401  # perfbench/spans.py wraps this name
 )
 from .tiling import DEFAULT_NODE_BUDGET, solve_m
 
@@ -119,29 +119,33 @@ def run_chain_census(x: int) -> CensusRecord:
 
     Everything runs in one thread, block by block.  One divisor sieve derives
     spf, tau(n), tau(n²) and the witness bound ``need`` for a block of n from
-    the primes up to sqrt x, so memory stays O(sqrt x + block) with no table
-    over [2, x]; every predicate and count comes from those arrays, with no
-    per-n work in Python.
+    the primes up to sqrt x, into one workspace that every block reuses, so
+    memory stays O(sqrt x + block) with no table over [2, x].  Every predicate
+    and count comes from those arrays, with no per-n work in Python.  The
+    z-rough n are those with spf > z, a prime n keeping spf = n, so
+    count_rough needs no run of Lucy's sieve (``rough_count``).
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
     z = compute_z(x)
     threshold = _tau_threshold(x)
 
-    count_p1 = count_p2 = count_p3 = count_rst = count_excess = 0
+    count_p1 = count_p2 = count_p3 = count_rst = count_rough = count_excess = 0
     for start, spf, tau_n, tau_n2, need in _divisor_blocks(3, x + 1):
         p1, p2, p3 = _block_predicates(spf, tau_n, tau_n2, need)
-        rough_small = (spf > z) & (tau_n <= threshold)
+        rough = spf > z  # a prime n keeps spf = n
+        rough_small = rough & (tau_n <= threshold)
         broken = (rough_small & ~p3) | (p3 & ~p2) | (p2 & ~p1)
         if broken.any():
             raise InternalConsistencyError(
                 f"predicate chain violated at n={start + int(np.argmax(broken))}"
             )
-        count_p1 += int(p1.sum())
-        count_p2 += int(p2.sum())
-        count_p3 += int(p3.sum())
-        count_rst += int(rough_small.sum())
-        count_excess += int((tau_n > threshold).sum())
+        count_p1 += int(np.count_nonzero(p1))
+        count_p2 += int(np.count_nonzero(p2))
+        count_p3 += int(np.count_nonzero(p3))
+        count_rst += int(np.count_nonzero(rough_small))
+        count_rough += int(np.count_nonzero(rough))
+        count_excess += int(np.count_nonzero(tau_n > threshold))
 
     if not count_rst <= count_p3 <= count_p2 <= count_p1:
         raise InternalConsistencyError(
@@ -155,8 +159,7 @@ def run_chain_census(x: int) -> CensusRecord:
         count_p2=count_p2,
         count_p3=count_p3,
         count_rough_small_tau=count_rst,
-        # rough_count includes 1; 2 is never z-rough because x >= 16 gives z >= 7
-        count_rough=rough_count(x, z) - 1,
+        count_rough=count_rough,
         count_excess_tau=count_excess,
         theorem_rhs=math.exp(-EULER_GAMMA) / 2 * x / math.log(math.log(x)),
         mertens_rhs=math.exp(-EULER_GAMMA) * x / math.log(z),

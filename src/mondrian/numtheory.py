@@ -49,9 +49,11 @@ _E_TO_E = math.exp(math.e)
 # this bound, where x // k stays far inside int64
 ROUGH_SAFE_LIMIT = 10**13
 
-# integers per divisor-sieve block: bounds its six int64 work arrays to 768 KiB,
-# and each int64 array of the indexed tier to under 240 KiB: those hold one entry
-# per multiple, sum(1/p) over the primes 8 < p <= isqrt(x) per integer (1.8 at x = 10**13)
+# integers per divisor-sieve block.  ``_divisor_blocks`` allocates its workspace
+# once per call: eight int64 arrays of _BLOCK + 1 entries (1 MiB), and for the
+# indexed tier five arrays of one slot per possible multiple, ceil(_BLOCK / p)
+# for each prime 8 < p <= isqrt(x): 1.2 slots per integer at x = 10**7 (150 KiB
+# an array), growing as sum(1/p) + pi(isqrt x) / _BLOCK
 _BLOCK = 1 << 14
 
 # the divisor sieve's tier cutoff: primes below it take strided slices, the rest
@@ -181,8 +183,8 @@ class WitnessReport:
         return not self.witnesses
 
 
-def _witnesses(n: int, factors: list[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-    """(d, tau(d)) for each proper divisor d of n² with d·tau(d) >= n², ascending d.
+def _witnesses(n: int, factors: list[tuple[int, int]]) -> tuple[int, ...]:
+    """The proper divisors d of n² with d·tau(d) >= n², in ascending order.
 
     d is a witness iff tau(d) >= m for its co-divisor m = n²/d, and tau(d) <
     tau(n²) for proper d, so only 2 <= m < tau(n²) can qualify.  Taking p^k
@@ -203,16 +205,15 @@ def _witnesses(n: int, factors: list[tuple[int, int]]) -> Iterator[tuple[int, in
                 tk = tk // (f + 1) * f
                 if mk > tk:
                     break
-                found.append((mk, tk))
+                found.append(mk)
                 walk(i, mk, tk)
 
     walk(0, 1, math.prod([2 * a + 1 for _, a in factors]))
     n2 = n * n
-    for m, tau_d in sorted(found, reverse=True):
-        yield n2 // m, tau_d
+    return tuple(n2 // m for m in sorted(found, reverse=True))
 
 
-def _prime_bound(p, a):
+def _prime_bound(p, a, out=None):
     """p + ceil(p / 2a): the least tau(n²) at which n²/p is a filter witness, for p^a || n.
 
     p's exponent drops from 2a in n² to 2a - 1 in n²/p, so tau(n²/p) =
@@ -220,9 +221,12 @@ def _prime_bound(p, a):
     filter: if n²/m is a witness, so is n²/p for each prime p | m, because
     n²/m divides n²/p and tau(n²/p) >= tau(n²/m) >= m >= p.  So n has a
     witness iff tau(n²) >= _prime_bound(p, a) for some p^a exactly dividing
-    n.  Works on ints and, elementwise, on numpy integer arrays.
+    n.  Works on ints and, elementwise, on numpy integer arrays, into
+    ``out`` when given.
     """
-    return p + 1 + (p - 1) // (2 * a)
+    # p + 1 + (p - 1) // 2a, one ufunc at a time so that ``out`` holds each step
+    bound = np.floor_divide(np.subtract(p, 1, out=out), 2 * a, out=out)
+    return np.add(np.add(bound, p, out=out), 1, out=out)
 
 
 def _chain_tests(p_min, tau_n, tau_n2):
@@ -246,7 +250,7 @@ def witness_report(n: int) -> WitnessReport:
     if n > WITNESS_SAFE_LIMIT:
         raise UsageError(f"n={n} exceeds the witness_report domain limit {WITNESS_SAFE_LIMIT}")
     factors = _factorize(n)
-    witnesses = tuple(d for d, _ in _witnesses(n, factors))
+    witnesses = _witnesses(n, factors)
     tau_n = tau_n2 = 1
     for _, e in factors:
         tau_n *= e + 1
@@ -361,107 +365,158 @@ def tau_summatory(x: int) -> int:
     return 2 * sum(x // a for a in range(1, r + 1)) - r * r
 
 
-def _divisor_block(lo: int, hi: int, primes: list[int]) -> tuple[np.ndarray, ...]:
-    """(spf, tau(n), tau(n²), need) for each n in [lo, hi).
+class _Multiples:
+    """Where the multiples of p**exponent fall in a block of at most ``width`` integers.
 
-    Needs 2 <= lo and every prime up to isqrt(hi - 1) in ascending ``primes``.
-    A prime of exponent 1 multiplies tau(n) by 2 and tau(n²) by 3, so those
-    are only counted, and the exponents a >= 2 are worked out on the
-    multiples of p² alone.  The sieved prime powers multiply to n, or to n
-    over one prime beyond the sieve; an n no prime crosses off is prime and
-    keeps spf = n.
-
-    The primes are sieved in two tiers.  Those of ``_STRIDED_BELOW`` and up
-    have few multiples in a block, where a strided slice costs a numpy call
-    per array and prime, so they go through one indexed pass over all their
-    multiples (``_multiples``), and again over those of their squares, with
-    ``ufunc.at`` wherever two primes may share an index; spf is the least
-    of them (``minimum.at``).  This tier runs first: the small primes then
-    take one strided slice per array, largest first, so their plain writes
-    of spf land last and the smallest prime dividing n is the one that stays.
-
-    ``need`` is the least p + ceil(p / 2a) over the p^a exactly dividing n:
-    n has a filter witness iff tau(n²) >= need (``_prime_bound``).  Among
-    the primes of exponent 1 the smallest gives the least bound, and a spf
-    of exponent a >= 2 got its lower bound in the p² pass, so after the
-    primes only spf's bound with a = 1 is still to be taken in.
+    p runs over ``primes``.  The slots are laid out once per call,
+    ceil(width / p**exponent) for each p in the order of ``primes``, which is
+    room for every multiple in any block.  ``index`` writes a block's indices
+    into one reused buffer; a slot that falls past the block's end points at
+    the spare entry ``size`` of the workspace, which the block's views hide.
     """
-    size = hi - lo
-    split = bisect_left(primes, _STRIDED_BELOW)
-    large = np.array(primes[split:], dtype=np.int64)
-    spf = np.arange(lo, hi, dtype=np.int64)
-    tau_n = np.ones(size, dtype=np.int64)  # prod of a + 1 over the primes with a >= 2
-    tau_n2 = np.ones(size, dtype=np.int64)  # prod of 2a + 1 over the same primes
-    need = np.full(size, np.iinfo(np.int64).max, dtype=np.int64)
-    # large tier: every multiple of every large prime, then of its square
-    idx, p = _multiples(lo, size, large)
-    np.minimum.at(spf, idx, p)
-    once = np.bincount(idx, minlength=size)  # sieved primes dividing n exactly once
-    power = np.ones(size, dtype=np.int64)  # prod of the sieved prime powers p^a dividing n
-    np.multiply.at(power, idx, p)
-    idx, p = _multiples(lo, size, large, 2)
-    # a - 2 = v_p(m) for m = n / p², dividing only the m still divisible by p
-    m = (lo + idx) // (p * p)
-    a = np.full(len(idx), 2, dtype=np.int64)
-    live = np.arange(len(idx))
-    while len(live := live[m[live] % p[live] == 0]):
-        m[live] //= p[live]
-        a[live] += 1
-    once -= np.bincount(idx, minlength=size)
-    np.multiply.at(power, idx, p ** (a - 1))
-    np.multiply.at(tau_n, idx, a + 1)
-    np.multiply.at(tau_n2, idx, 2 * a + 1)
-    np.minimum.at(need, idx, _prime_bound(p, a))
-    # small tier: one strided slice per prime, largest first
-    for p in reversed(primes[:split]):
-        s = -lo % p
-        spf[s::p] = p
-        once[s::p] += 1
-        power[s::p] *= p
-        q = p * p
-        s = -lo % q
-        if s < size:
-            # a - 2 = v_p(m) over the consecutive integers m = n / p²
-            m = (lo + s) // q
-            a = np.full(len(range(s, size, q)), 2, dtype=np.int64)
-            pk = p
-            while (j := -m % pk) < len(a):
-                a[j::pk] += 1
-                pk *= p
-            once[s::q] -= 1
-            power[s::q] *= p ** (a - 1)
-            tau_n[s::q] *= a + 1
-            tau_n2[s::q] *= 2 * a + 1
-            need[s::q] = np.minimum(need[s::q], _prime_bound(p, a))
-    # n / power is 1 or a prime beyond the sieve
-    once += power < np.arange(lo, hi, dtype=np.int64)
-    tau_n <<= once
-    tau_n2 *= _POW3[once]
-    np.minimum(need, _prime_bound(spf, 1), out=need)
-    return spf, tau_n, tau_n2, need
+
+    def __init__(self, primes: np.ndarray, exponent: int, width: int):
+        self.steps = primes**exponent
+        count = -(-width // self.steps)
+        self.ends = np.cumsum(count)  # the slots of the first k primes end at ends[k - 1]
+        self.owner = np.repeat(np.arange(len(primes)), count)
+        self.p = primes[self.owner]  # the prime and the step p**exponent of each slot
+        self.step = self.steps[self.owner]
+        self.offset = self.step * (np.arange(len(self.owner)) - (self.ends - count)[self.owner])
+        self.first = np.empty_like(self.steps)
+        self.idx = np.empty(len(self.owner), dtype=np.intp)
+
+    def index(self, start: int, size: int, k: int) -> np.ndarray:
+        """The index in [start, start + size), or ``size``, of each slot of the first k primes."""
+        used = int(self.ends[k - 1]) if k else 0
+        np.remainder(-start, self.steps, out=self.first)
+        idx = self.idx[:used]
+        np.take(self.first, self.owner[:used], out=idx)
+        idx += self.offset[:used]
+        return np.minimum(idx, size, out=idx)
 
 
-def _multiples(lo: int, size: int, primes: np.ndarray, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """(index, p) for every multiple of p**k in [lo, lo + size), p over ``primes``.
+class _BlockSieve:
+    """The divisor sieve over blocks of at most ``width`` integers, on one workspace.
 
-    The indices of each p form one run, built with ``np.repeat`` and no
-    Python loop over the primes.
+    Eight int64 arrays of width + 1 entries, the indexed tier's slots
+    (``_Multiples``) and their buffers are allocated once; ``block`` writes
+    every block into them with ``out=`` and in-place ufuncs.
     """
-    steps = primes**k
-    first = -lo % steps
-    count = (size - first + steps - 1) // steps
-    step = np.repeat(steps, count)
-    start = np.repeat(first - steps * (np.cumsum(count) - count), count)
-    return start + step * np.arange(len(step)), np.repeat(primes, count)
+
+    def __init__(self, primes: list[int], width: int):
+        self.primes = primes
+        self.split = split = bisect_left(primes, _STRIDED_BELOW)
+        large = np.array(primes[split:], dtype=np.int64)
+        self.ones = _Multiples(large, 1, width)
+        self.squares = _Multiples(large, 2, width)
+        self.m, self.a = np.empty((2, len(self.squares.idx)), dtype=np.int64)
+        # n, spf, tau(n), tau(n²), need, once, power and scratch; entry width is spare
+        self.rows = np.empty((8, width + 1), dtype=np.int64)
+        self.rows[0] = np.arange(width + 1)
+
+    def block(self, start: int, size: int) -> tuple[np.ndarray, ...]:
+        """(spf, tau(n), tau(n²), need) for each n in [start, start + size), views of the workspace.
+
+        Needs 2 <= start and every prime up to isqrt(start + size - 1) in
+        ``primes``.  A prime of exponent 1 multiplies tau(n) by 2 and tau(n²)
+        by 3, so those are only counted, and the exponents a >= 2 are worked
+        out on the multiples of p² alone.  The sieved prime powers multiply to
+        n, or to n over one prime beyond the sieve; an n no prime crosses off
+        is prime and keeps spf = n.
+
+        The primes are sieved in two tiers.  Those of ``_STRIDED_BELOW`` and up
+        have few multiples in a block, where a strided slice costs a numpy call
+        per array and prime, so they go through one indexed pass over all their
+        multiples, and again over those of their squares, with ``ufunc.at``
+        wherever two primes may share an index; spf is the least of them
+        (``minimum.at``).  This tier runs first: the small primes then take one
+        strided slice per array, largest first, so their plain writes of spf
+        land last and the smallest prime dividing n is the one that stays.
+
+        ``need`` is the least p + ceil(p / 2a) over the p^a exactly dividing n:
+        n has a filter witness iff tau(n²) >= need (``_prime_bound``).  Among
+        the primes of exponent 1 the smallest gives the least bound, and a spf
+        of exponent a >= 2 got its lower bound in the p² pass, so after the
+        primes only spf's bound with a = 1 is still to be taken in.
+        """
+        n, spf, tau_n, tau_n2, need, once, power, scratch = self.rows
+        n += start - int(n[0])
+        np.copyto(spf, n)
+        tau_n.fill(1)  # prod of a + 1 over the primes with a >= 2
+        tau_n2.fill(1)  # prod of 2a + 1 over the same primes
+        need.fill(np.iinfo(np.int64).max)
+        once.fill(0)  # sieved primes dividing n exactly once
+        power.fill(1)  # prod of the sieved prime powers p^a dividing n
+        # large tier: every multiple of every large prime, then of its square
+        used = bisect_right(self.primes, math.isqrt(start + size - 1))  # the primes this block needs
+        k = max(used - self.split, 0)  # of them in the large tier
+        idx = self.ones.index(start, size, k)
+        p = self.ones.p[: len(idx)]
+        np.minimum.at(spf, idx, p)
+        np.add.at(once, idx, 1)
+        np.multiply.at(power, idx, p)
+        idx = self.squares.index(start, size, k)
+        p = self.squares.p[: len(idx)]
+        # a - 2 = v_p(m) for m = n / p², dividing only the m still divisible by p
+        m, a = self.m[: len(idx)], self.a[: len(idx)]
+        np.take(n, idx, out=m)
+        m //= self.squares.step[: len(idx)]
+        a.fill(2)
+        live = np.arange(len(idx))
+        while len(live := live[m[live] % p[live] == 0]):
+            m[live] //= p[live]
+            a[live] += 1
+        np.subtract.at(once, idx, 1)
+        np.multiply.at(power, idx, p ** (a - 1))
+        np.multiply.at(tau_n, idx, a + 1)
+        np.multiply.at(tau_n2, idx, 2 * a + 1)
+        np.minimum.at(need, idx, _prime_bound(p, a))
+        # small tier: one strided slice per prime, largest first
+        n, spf, tau_n, tau_n2, need, once, power, _ = self.rows[:, :size]
+        for p in reversed(self.primes[: min(used, self.split)]):
+            s = -start % p
+            spf[s::p] = p
+            once[s::p] += 1
+            power[s::p] *= p
+            q = p * p
+            s = -start % q
+            if s < size:
+                # a - 2 = v_p(m) over the consecutive integers m = n / p²
+                m = (start + s) // q
+                c = len(range(s, size, q))
+                a, t = scratch[:c], scratch[c : 2 * c]  # 2c <= size + 1
+                a.fill(2)
+                pk = p
+                while (j := -m % pk) < c:
+                    a[j::pk] += 1
+                    pk *= p
+                once[s::q] -= 1
+                power[s::q] *= np.power(p, np.subtract(a, 1, out=t), out=t)
+                tau_n[s::q] *= np.add(a, 1, out=t)
+                tau_n2[s::q] *= np.add(np.multiply(a, 2, out=t), 1, out=t)
+                np.minimum(need[s::q], _prime_bound(p, a, out=t), out=need[s::q])
+        # n / power is 1 or a prime beyond the sieve
+        scratch = scratch[:size]
+        once += np.less(power, n, out=scratch)
+        tau_n <<= once
+        tau_n2 *= np.take(_POW3, once, out=scratch)
+        np.minimum(need, _prime_bound(spf, 1, out=scratch), out=need)
+        return spf, tau_n, tau_n2, need
 
 
 def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
-    """(start, spf, tau(n), tau(n²), need) for each ``_BLOCK``-integer block of [lo, hi)."""
-    primes = _primes_upto(math.isqrt(hi - 1))
-    for start in range(lo, hi, _BLOCK):
-        stop = min(start + _BLOCK, hi)
-        block_primes = primes[: bisect_right(primes, math.isqrt(stop - 1))]
-        yield start, *_divisor_block(start, stop, block_primes)
+    """(start, spf, tau(n), tau(n²), need) for each ``_BLOCK``-integer block of [lo, hi); 2 <= lo.
+
+    One workspace (``_BlockSieve``) serves every block of the call, so the
+    arrays a block yields are overwritten when the next block is asked for:
+    read or copy them before advancing.  The workspace belongs to the call,
+    so generators running side by side share nothing.
+    """
+    width = min(_BLOCK, hi - lo)
+    sieve = _BlockSieve(_primes_upto(math.isqrt(hi - 1)), width)
+    for start in range(lo, hi, width):
+        yield start, *sieve.block(start, min(width, hi - start))
 
 
 def census_excess_tau(x: int) -> int:

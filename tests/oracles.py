@@ -83,8 +83,8 @@ def naive_witness(n: int) -> int | None:
     return None
 
 
-def brute_witnesses(n: int) -> list[tuple[int, int]]:
-    """(d, tau(d)) for every proper divisor d of n² with d*tau(d) >= n², ascending d.
+def brute_witnesses(n: int) -> list[int]:
+    """Every proper divisor d of n² with d*tau(d) >= n², ascending.
 
     Every exponent vector of n² is enumerated; tau(d) is the product of
     (k + 1) over d's exponents k.
@@ -96,7 +96,7 @@ def brute_witnesses(n: int) -> list[tuple[int, int]]:
         d = math.prod(p**k for (p, _), k in zip(fac, exps))
         tau_d = math.prod(k + 1 for k in exps)
         if d != n2 and d * tau_d >= n2:
-            out.append((d, tau_d))
+            out.append(d)
     return sorted(out)
 
 

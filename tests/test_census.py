@@ -25,6 +25,7 @@ from mondrian.numtheory import (
     _factorize,
     _tau_threshold,
     compute_z,
+    rough_count,
     tau,
     tau_of_square,
     witness_report,
@@ -106,6 +107,16 @@ class TestRunChainCensus:
         # e^-gamma * 1e6 / ln z to three significant digits
         assert r.mertens_rhs == pytest.approx(7.82e4, rel=5e-3)
 
+    def test_count_rough_equals_lucys_sieve(self):
+        # the block pass counts spf > z over [3, x]; Lucy's sieve covers [1, x],
+        # and 2 is never z-rough, since x >= 16 gives z >= 7.  z exceeds
+        # isqrt(x) up to x = 2e6 and not from about 3e6 on, so both of
+        # rough_count's branches are the reference
+        xs = [*range(16, 401), 3 * 10**4, 25 * 10**4, 10**6, 4 * 10**6]
+        assert {compute_z(x) > math.isqrt(x) for x in xs} == {True, False}
+        mismatched = [x for x in xs if run_chain_census(x).count_rough != rough_count(x, compute_z(x)) - 1]
+        assert not mismatched
+
     def test_record_at_two_million(self):
         r = run_chain_census(2 * 10**6)
         assert (r.z, r.count_p1, r.count_p2, r.count_p3) == (1505, 429380, 389674, 338190)
@@ -177,7 +188,8 @@ class TestBlockedPass:
         [(_, spf, tau_n, tau_n2, need)] = numtheory._divisor_blocks(n, n + 1)
         p1, p2, _ = _block_predicates(spf, tau_n, tau_n2, need)
         assert not p2[0] and not p1[0]
-        assert list(numtheory._witnesses(n, _factorize(n))) == [(n * n // 23, 24)]
+        assert numtheory._witnesses(n, _factorize(n)) == (n * n // 23,)
+        assert tau(n * n // 23) == 24
 
     def test_census_independent_of_block_size(self, monkeypatch):
         base = run_chain_census(10**5)
@@ -198,12 +210,25 @@ class TestBlockedPass:
         pytest.param(*around(97**2 * 1031**2), id="97^2*1031^2"),
     ])
     def test_block_arrays_match_the_factorisation(self, lo, hi):
-        primes = numtheory._primes_upto(math.isqrt(hi - 1))
-        arrays = numtheory._divisor_block(lo, hi, primes)
+        [(_, *arrays)] = numtheory._divisor_blocks(lo, hi)  # each range fits in one block
         got = list(zip(*(a.tolist() for a in arrays)))
         want = divisor_block_oracle(lo, hi)
         assert len(got) == hi - lo
         assert [n for n, g, w in zip(range(lo, hi), got, want) if g != w] == []
+
+    def test_generators_share_no_workspace(self, monkeypatch):
+        # zip advances both generators before either block is read, so a
+        # workspace they shared would hold only the second block's rows
+        monkeypatch.setattr(numtheory, "_BLOCK", 997)
+        ranges = [(3, 3 + 3 * 997 + 1), (10**6, 10**6 + 3 * 997 + 1)]  # the last block is one integer
+
+        def rows(blocks):
+            return [(start, *(a.tolist() for a in arrays)) for start, *arrays in blocks]
+
+        alone = [rows(numtheory._divisor_blocks(lo, hi)) for lo, hi in ranges]
+        assert [[len(spf) for _, spf, *_ in r] for r in alone] == [[997, 997, 997, 1]] * 2
+        lockstep = [rows(pair) for pair in zip(*(numtheory._divisor_blocks(lo, hi) for lo, hi in ranges))]
+        assert [list(r) for r in zip(*lockstep)] == alone
 
     def test_census_independent_of_tier_cutoff(self, monkeypatch):
         # every prime indexed, then every prime strided
