@@ -4,8 +4,9 @@ The load-bearing objects are factorisation by trial division, the witness
 filter over proper divisors of n² (``witness_report``), a blocked divisor sieve
 that gives the censuses spf, tau(n), tau(n²) and the least witness bound of
 ``_prime_bound`` in O(block) memory, and exact counting primitives: z-rough
-integers by a floor-quotient sieve over the O(sqrt x) values x // k
-(``rough_count``), and the divisor summatory function.
+integers (``rough_count``) by a floor-quotient sieve over the O(sqrt x) values
+x // k up to min(z, x^¼) and a chunked pass over prime pairs for the primes
+past it, and the divisor summatory function.
 ``FactorTable`` remains as a standalone spf table that no other function uses.
 All arithmetic is exact integer arithmetic; the only floats are the analytic
 reference quantities (thresholds, Mertens-type densities).
@@ -45,9 +46,15 @@ WITNESS_SAFE_LIMIT = 10**6
 
 _E_TO_E = math.exp(math.e)
 
-# rough_count keeps four int64 arrays of isqrt(x) + 1 entries, about 100 MB at
-# this bound, where x // k stays far inside int64
+# rough_count's sieve keeps four int64 arrays of isqrt(x) + 1 entries, about
+# 100 MB at this bound, where x // k stays far inside int64; its prime-pair pass
+# frees two of them and keeps a few arrays of one entry per prime up to sqrt x
+# and of _PAIRS entries
 ROUGH_SAFE_LIMIT = 10**13
+
+# prime pairs per chunk of _lucy's pass past x^¼, which holds a few int64 arrays
+# of this many entries; x = 10**13 with z = sqrt x has 47.5 M pairs
+_PAIRS = 1 << 12
 
 # integers per divisor-sieve block.  ``_divisor_blocks`` allocates its workspace
 # once per call: eight int64 arrays of _BLOCK + 1 entries (1 MiB), and for the
@@ -273,16 +280,25 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
     prime p (0-based) lowers S(v) by S(v // p) - j for every v >= p².  Only
     the floor quotients of x are kept: ``small[v]`` = S(v) for v <= r = isqrt x
     and ``large[k]`` = S(x // k) for k <= r.
+
+    The loop applies the primes up to min(z, b), b = isqrt(r); after it
+    ``small[v]`` = pi(v) for every v <= r.  Each later prime p_i has p_i⁴ > x
+    (Lehmer's split at x^¼), so its term S_i(x // p_i) - i is read off in
+    closed form: S_i(x // p_i) is ``large[p_i]`` less, for each earlier such
+    prime p_j with p_i·p_j² <= x, the term ``small[x // (p_i·p_j)]`` - j,
+    whose index is at most r and below p_j².  Those prime pairs are summed
+    ``_PAIRS`` at a time, so memory stays O(sqrt x).
     """
     r = math.isqrt(x)
     primes = _primes_upto(min(z, r))
+    looped = bisect_right(primes, math.isqrt(r))
     small = np.arange(-1, r, dtype=np.int64)
     quot = np.arange(r + 1, dtype=np.int64)
     quot[0] = 1
     np.floor_divide(x, quot, out=quot)  # quot[k] = x // k
     large = quot - 1
     buf = np.empty(r + 1, dtype=np.int64)  # scratch; each right-hand side is copied here first
-    for j, p in enumerate(primes):
+    for j, p in enumerate(primes[:looped]):
         kmax = min(r, x // (p * p))  # large[k] changes while x // k >= p²
         mid = min(kmax, r // p)
         # kp <= r: S(x // kp) is large[kp]
@@ -302,16 +318,39 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
             np.subtract(small[p:top], j, out=buf[: top - p])
             runs = small[p * p : p * top].reshape(top - p, p)
             np.subtract(runs, buf[: top - p, None], out=runs)
-    return int(large[1]), len(primes)
+    s = int(large[1])
+    if looped == len(primes):
+        return s, len(primes)
+    del quot, buf  # the pair pass below needs neither, so its arrays take their place
+    # the primes past b, and their indices i among all the primes applied
+    rest = np.array(primes[looped:], dtype=np.int64)
+    index = np.arange(looped, len(primes), dtype=np.int64)
+    s -= int(large[rest].sum() - index.sum())
+    # rest[j] pairs with each rest[i], j < i < ends[j]: the p_i with p_i·p_j² <= x
+    ends = np.searchsorted(rest, x // (rest * rest), side="right")
+    counts = np.maximum(ends - np.arange(1, len(rest) + 1), 0)
+    s -= int(counts @ index)
+    last = np.cumsum(counts)  # pairs of p_j end at pair number last[j]
+    first = last - counts
+    below = x // rest  # x // (p_i·p_j) = (x // p_j) // p_i
+    total = int(last[-1])
+    for start in range(0, total, _PAIRS):
+        pair = np.arange(start, min(start + _PAIRS, total))
+        j = np.searchsorted(last, pair, side="right")
+        i = pair - first[j] + j + 1
+        s += int(small[below[j] // rest[i]].sum())
+    return s, len(primes)
 
 
 def rough_count(x: int, z: int) -> int:
     """Exact |{n <= x : n is z-rough}|, with 1 included, for 1 <= x <= ``ROUGH_SAFE_LIMIT``.
 
-    This is Legendre's phi(x, pi(z)) by Lucy's floor-quotient sieve
-    stopped at z: O(x^(3/4) / log x) time and O(sqrt x) memory.  For
-    z >= isqrt(x) every prime up to sqrt x has been applied, so S(x) = pi(x)
-    and the count is 1 + pi(x) - pi(min(z, x)).
+    This is Legendre's phi(x, pi(z)) by ``_lucy``: Lucy's floor-quotient
+    sieve up to min(z, x^¼), then one chunked pass over prime pairs for the
+    primes in (x^¼, min(z, sqrt x)].  O(x^(3/4) / log x) time and O(sqrt x)
+    memory.  For z >= isqrt(x) every prime up to sqrt x has been applied, so
+    S(x) = pi(x) and the count is 1 + pi(x) - pi(min(z, x)); z >= x leaves
+    only 1 and sieves nothing.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
@@ -319,11 +358,11 @@ def rough_count(x: int, z: int) -> int:
         raise ValueError(f"z must be >= 0, got {z}")
     if x > ROUGH_SAFE_LIMIT:
         raise UsageError(f"x={x} exceeds the rough_count limit {ROUGH_SAFE_LIMIT}")
+    if z >= x:
+        return 1
     s, applied = _lucy(x, z)
     if z <= math.isqrt(x):
         return 1 + s - applied
-    if z >= x:
-        return 1
     return 1 + s - _lucy(z, z)[0]
 
 

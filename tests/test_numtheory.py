@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from mondrian.numtheory import (
 )
 from oracles import (
     brute_witnesses,
+    lucy_rough_count,
     naive_divisors,
     naive_factorization,
     naive_is_rough,
@@ -38,9 +40,20 @@ from oracles import (
 )
 
 ROUGH_BOUNDARY_PRIMES = (2, 3, 5, 7, 31, 97)
+# x = p⁴ + d, where b = isqrt(isqrt x), the end of _lucy's loop, changes
+ROUGH_FOURTH_POWER_XS = sorted({p**4 + d for p in (2, 3, 5, 7, 11, 13) for d in (-1, 0, 1)})
 ROUGH_BOUNDARY_XS = sorted(
-    {1, 2, 3, 4} | {p * p + d for p in ROUGH_BOUNDARY_PRIMES for d in (-1, 0, 1)}
+    {1, 2, 3, 4}
+    | {p * p + d for p in ROUGH_BOUNDARY_PRIMES for d in (-1, 0, 1)}
+    | set(ROUGH_FOURTH_POWER_XS)
 )
+
+
+def split_zs(x: int) -> list[int]:
+    """z on both sides of b = isqrt(isqrt x), where _lucy's loop ends, and of r = isqrt x."""
+    r = math.isqrt(x)
+    b = math.isqrt(r)
+    return sorted({max(b - 1, 0), b, b + 1, r, r + 1})
 
 
 class TestFactorTable:
@@ -307,6 +320,35 @@ class TestRoughCount:
         for z in (0, 50, ROUGH_SAFE_LIMIT):
             with pytest.raises(ValueError, match="limit"):
                 rough_count(ROUGH_SAFE_LIMIT + 1, z)
+
+    def test_z_at_least_x_sieves_nothing(self, monkeypatch):
+        # only 1 is z-rough, decided before any sieve starts
+        monkeypatch.setattr(numtheory, "_lucy", None)
+        for x, z in ((1, 1), (2, 2), (30, 30), (10**9, 10**9), (10**12, 10**13)):
+            assert rough_count(x, z) == 1, (x, z)
+
+    def test_split_matches_the_full_loop(self):
+        # the loop up to x^¼ and the prime-pair pass past it, against Lucy's
+        # sieve applying every prime in its loop
+        rng = random.Random(20260418)
+        for _ in range(24):
+            x = int(10 ** rng.uniform(0, 10))
+            r = math.isqrt(x)
+            zs = split_zs(x) + [rng.randrange(0, r + 2), rng.randrange(0, 2 * x + 2)]
+            for z in zs:
+                assert rough_count(x, z) == lucy_rough_count(x, z), (x, z)
+
+    @pytest.mark.parametrize("x", ROUGH_FOURTH_POWER_XS)
+    def test_split_at_fourth_powers(self, x):
+        for z in split_zs(x):
+            assert rough_count(x, z) == lucy_rough_count(x, z), (x, z)
+
+    def test_pair_chunk_of_one(self, monkeypatch):
+        # (10**7, 3162) alone has 3,629 pairs of primes past 56
+        cases = [(10**6, 1000), (10**7, 3162), (2 * 10**5, 10**5)]
+        want = [lucy_rough_count(x, z) for x, z in cases]
+        monkeypatch.setattr(numtheory, "_PAIRS", 1)
+        assert [rough_count(x, z) for x, z in cases] == want
 
     def test_ten_thousand_against_trial_division(self):
         for z in (7, 50, 211):
