@@ -28,6 +28,7 @@ from .errors import BFileParseError, BudgetExceededError, InternalConsistencyErr
 from .numtheory import (
     _chain_tests,
     _divisor_blocks,
+    _excess_tau_lift,
     _tau_threshold,
     census_excess_tau,  # noqa: F401  # perfbench/spans.py wraps this name
     compute_z,
@@ -118,12 +119,22 @@ def run_chain_census(x: int) -> CensusRecord:
     """Evaluate every chain predicate over [3, x] and package exact counts.
 
     Everything runs in one thread, block by block.  One divisor sieve derives
-    spf, tau(n), tau(n²) and the witness bound ``need`` for a block of n from
-    the primes up to sqrt x, into one workspace that every block reuses, so
-    memory stays O(sqrt x + block) with no table over [2, x].  Every predicate
-    and count comes from those arrays, with no per-n work in Python.  The
-    z-rough n are those with spf > z, a prime n keeping spf = n, so
-    count_rough needs no run of Lucy's sieve (``rough_count``).
+    spf, tau(n), tau(n²) and the witness bound ``need`` for a block of odd n
+    from the primes up to sqrt x, into one workspace that every block reuses,
+    so memory stays O(sqrt x + block) with no table over [2, x].  Every
+    predicate and count comes from those arrays, with no per-n work in
+    Python.  The z-rough n are those with spf > z, a prime n keeping spf = n,
+    so count_rough needs no run of Lucy's sieve (``rough_count``).
+
+    No even n is sieved, because each is in none of the four sets:
+
+    - need(n) <= 2 + ceil(2 / 2a) = 3 <= tau(n²) for 2^a || n, so p1 fails;
+    - tau(n²) >= 3 > 2 = spf(n), so p2 fails;
+    - tau(n)² >= 4 > 2 = spf(n), so p3 fails;
+    - spf(n) = 2 < 7 <= compute_z(x) for x >= 16, so n is not z-rough.
+
+    Only count_excess_tau counts even n; ``_excess_tau_lift`` reads their
+    tau(2^a·m) = (a + 1)·tau(m) off the odd rows m.
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
@@ -138,14 +149,14 @@ def run_chain_census(x: int) -> CensusRecord:
         broken = (rough_small & ~p3) | (p3 & ~p2) | (p2 & ~p1)
         if broken.any():
             raise InternalConsistencyError(
-                f"predicate chain violated at n={start + int(np.argmax(broken))}"
+                f"predicate chain violated at n={start + 2 * int(np.argmax(broken))}"
             )
         count_p1 += int(np.count_nonzero(p1))
         count_p2 += int(np.count_nonzero(p2))
         count_p3 += int(np.count_nonzero(p3))
         count_rst += int(np.count_nonzero(rough_small))
         count_rough += int(np.count_nonzero(rough))
-        count_excess += int(np.count_nonzero(tau_n > threshold))
+        count_excess += _excess_tau_lift(x, threshold, start, tau_n)
 
     if not count_rst <= count_p3 <= count_p2 <= count_p1:
         raise InternalConsistencyError(

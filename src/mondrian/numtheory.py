@@ -3,7 +3,8 @@
 The load-bearing objects are factorisation by trial division, the witness
 filter over proper divisors of n² (``witness_report``), a blocked divisor sieve
 that gives the censuses spf, tau(n), tau(n²) and the least witness bound of
-``_prime_bound`` in O(block) memory, and exact counting primitives: z-rough
+``_prime_bound`` for the odd n only, in O(block) memory, the lift of its tau to
+the even n = 2^a·m (``_excess_tau_lift``), and exact counting primitives: z-rough
 integers (``rough_count``) by a floor-quotient sieve over the O(sqrt x) values
 x // k up to min(z, x^¼) and a chunked pass over prime pairs for the primes
 past it, and the divisor summatory function.
@@ -56,11 +57,12 @@ ROUGH_SAFE_LIMIT = 10**13
 # of this many entries; x = 10**13 with z = sqrt x has 47.5 M pairs
 _PAIRS = 1 << 12
 
-# integers per divisor-sieve block.  ``_divisor_blocks`` allocates its workspace
-# once per call: eight int64 arrays of _BLOCK + 1 entries (1 MiB), and for the
-# indexed tier five arrays of one slot per possible multiple, ceil(_BLOCK / p)
-# for each prime 8 < p <= isqrt(x): 1.2 slots per integer at x = 10**7 (150 KiB
-# an array), growing as sum(1/p) + pi(isqrt x) / _BLOCK
+# odd integers per divisor-sieve block, so a block spans 2 * _BLOCK integers.
+# ``_divisor_blocks`` allocates its workspace once per call: eight int64 arrays
+# of _BLOCK + 1 entries (1 MiB), and for the indexed tier five arrays of one
+# slot per possible odd multiple, ceil(_BLOCK / p) for each prime 8 < p <=
+# isqrt(x): 1.2 slots per row at x = 10**7 (150 KiB an array), growing as
+# sum(1/p) + pi(isqrt x) / _BLOCK
 _BLOCK = 1 << 14
 
 # the divisor sieve's tier cutoff: primes below it take strided slices, the rest
@@ -404,14 +406,27 @@ def tau_summatory(x: int) -> int:
     return 2 * sum(x // a for a in range(1, r + 1)) - r * r
 
 
-class _Multiples:
-    """Where the multiples of p**exponent fall in a block of at most ``width`` integers.
+def _first_row(start, q):
+    """The least i >= 0 with q | start + 2i, for odd start and odd q: row of q's first multiple.
 
-    p runs over ``primes``.  The slots are laid out once per call,
+    With r = -start mod q, start + r is a multiple of q; it is odd when r is
+    even, and when r is odd start + r + q is.  So i = (r + (r & 1)·q) / 2, and
+    no term exceeds 2q, so nothing overflows int64.  The odd multiples of q
+    then lie q rows apart.  Works on ints and, elementwise, on numpy arrays q.
+    """
+    r = -start % q
+    return (r + (r & 1) * q) >> 1
+
+
+class _Multiples:
+    """Where the odd multiples of p**exponent fall in a block of at most ``width`` odd integers.
+
+    p runs over ``primes``, all odd.  The slots are laid out once per call,
     ceil(width / p**exponent) for each p in the order of ``primes``, which is
-    room for every multiple in any block.  ``index`` writes a block's indices
-    into one reused buffer; a slot that falls past the block's end points at
-    the spare entry ``size`` of the workspace, which the block's views hide.
+    room for every multiple in any block, since they lie p**exponent rows
+    apart.  ``index`` writes a block's row indices into one reused buffer; a
+    slot that falls past the block's end points at the spare entry ``size`` of
+    the workspace, which the block's views hide.
     """
 
     def __init__(self, primes: np.ndarray, exponent: int, width: int):
@@ -422,25 +437,24 @@ class _Multiples:
         self.p = primes[self.owner]  # the prime and the step p**exponent of each slot
         self.step = self.steps[self.owner]
         self.offset = self.step * (np.arange(len(self.owner)) - (self.ends - count)[self.owner])
-        self.first = np.empty_like(self.steps)
         self.idx = np.empty(len(self.owner), dtype=np.intp)
 
     def index(self, start: int, size: int, k: int) -> np.ndarray:
-        """The index in [start, start + size), or ``size``, of each slot of the first k primes."""
+        """The row in [0, size), or ``size``, of each slot of the first k primes, for rows n = start + 2i."""
         used = int(self.ends[k - 1]) if k else 0
-        np.remainder(-start, self.steps, out=self.first)
         idx = self.idx[:used]
-        np.take(self.first, self.owner[:used], out=idx)
+        np.take(_first_row(start, self.steps), self.owner[:used], out=idx)
         idx += self.offset[:used]
         return np.minimum(idx, size, out=idx)
 
 
 class _BlockSieve:
-    """The divisor sieve over blocks of at most ``width`` integers, on one workspace.
+    """The divisor sieve over blocks of at most ``width`` odd integers, on one workspace.
 
-    Eight int64 arrays of width + 1 entries, the indexed tier's slots
-    (``_Multiples``) and their buffers are allocated once; ``block`` writes
-    every block into them with ``out=`` and in-place ufuncs.
+    Row i of a block holds n = start + 2i, for an odd start.  Eight int64
+    arrays of width + 1 entries, the indexed tier's slots (``_Multiples``) and
+    their buffers are allocated once; ``block`` writes every block into them
+    with ``out=`` and in-place ufuncs.  ``primes`` are odd: 2 divides no row.
     """
 
     def __init__(self, primes: list[int], width: int):
@@ -452,17 +466,17 @@ class _BlockSieve:
         self.m, self.a = np.empty((2, len(self.squares.idx)), dtype=np.int64)
         # n, spf, tau(n), tau(n²), need, once, power and scratch; entry width is spare
         self.rows = np.empty((8, width + 1), dtype=np.int64)
-        self.rows[0] = np.arange(width + 1)
+        self.rows[0] = np.arange(0, 2 * width + 1, 2)
 
     def block(self, start: int, size: int) -> tuple[np.ndarray, ...]:
-        """(spf, tau(n), tau(n²), need) for each n in [start, start + size), views of the workspace.
+        """(spf, tau(n), tau(n²), need) for the odd n = start + 2i, i < size, views of the workspace.
 
-        Needs 2 <= start and every prime up to isqrt(start + size - 1) in
-        ``primes``.  A prime of exponent 1 multiplies tau(n) by 2 and tau(n²)
-        by 3, so those are only counted, and the exponents a >= 2 are worked
-        out on the multiples of p² alone.  The sieved prime powers multiply to
-        n, or to n over one prime beyond the sieve; an n no prime crosses off
-        is prime and keeps spf = n.
+        Needs an odd start >= 3 and every odd prime up to isqrt(start + 2size
+        - 2) in ``primes``.  A prime of exponent 1 multiplies tau(n) by 2 and
+        tau(n²) by 3, so those are only counted, and the exponents a >= 2 are
+        worked out on the multiples of p² alone.  The sieved prime powers
+        multiply to n, or to n over one prime beyond the sieve; an n no prime
+        crosses off is prime and keeps spf = n.
 
         The primes are sieved in two tiers.  Those of ``_STRIDED_BELOW`` and up
         have few multiples in a block, where a strided slice costs a numpy call
@@ -488,7 +502,7 @@ class _BlockSieve:
         once.fill(0)  # sieved primes dividing n exactly once
         power.fill(1)  # prod of the sieved prime powers p^a dividing n
         # large tier: every multiple of every large prime, then of its square
-        used = bisect_right(self.primes, math.isqrt(start + size - 1))  # the primes this block needs
+        used = bisect_right(self.primes, math.isqrt(start + 2 * size - 2))  # the primes this block needs
         k = max(used - self.split, 0)  # of them in the large tier
         idx = self.ones.index(start, size, k)
         p = self.ones.p[: len(idx)]
@@ -514,20 +528,20 @@ class _BlockSieve:
         # small tier: one strided slice per prime, largest first
         n, spf, tau_n, tau_n2, need, once, power, _ = self.rows[:, :size]
         for p in reversed(self.primes[: min(used, self.split)]):
-            s = -start % p
+            s = _first_row(start, p)
             spf[s::p] = p
             once[s::p] += 1
             power[s::p] *= p
             q = p * p
-            s = -start % q
+            s = _first_row(start, q)
             if s < size:
-                # a - 2 = v_p(m) over the consecutive integers m = n / p²
-                m = (start + s) // q
+                # a - 2 = v_p(m) over the odd cofactors m = n / p²: m0, m0 + 2, ...
+                m = (start + 2 * s) // q
                 c = len(range(s, size, q))
                 a, t = scratch[:c], scratch[c : 2 * c]  # 2c <= size + 1
                 a.fill(2)
                 pk = p
-                while (j := -m % pk) < c:
+                while (j := _first_row(m, pk)) < c:
                     a[j::pk] += 1
                     pk *= p
                 once[s::q] -= 1
@@ -545,26 +559,54 @@ class _BlockSieve:
 
 
 def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
-    """(start, spf, tau(n), tau(n²), need) for each ``_BLOCK``-integer block of [lo, hi); 2 <= lo.
+    """(start, spf, tau(n), tau(n²), need) for each block of ``_BLOCK`` odd n in [lo, hi); 3 <= lo.
 
-    One workspace (``_BlockSieve``) serves every block of the call, so the
-    arrays a block yields are overwritten when the next block is asked for:
-    read or copy them before advancing.  The workspace belongs to the call,
-    so generators running side by side share nothing.
+    [lo, hi) must hold an odd n.  Row i of a block holds n = start + 2i, and
+    start is odd.  The even n are not sieved: the censuses settle them
+    without these arrays, and ``_excess_tau_lift`` reads their tau off the
+    odd rows.  One workspace (``_BlockSieve``) serves every block of the
+    call, so the arrays a block yields are overwritten when the next block
+    is asked for: read or copy them before advancing.  The workspace belongs
+    to the call, so generators running side by side share nothing.
     """
-    width = min(_BLOCK, hi - lo)
-    sieve = _BlockSieve(_primes_upto(math.isqrt(hi - 1)), width)
-    for start in range(lo, hi, width):
-        yield start, *sieve.block(start, min(width, hi - start))
+    lo |= 1
+    width = min(_BLOCK, (hi - lo + 1) // 2)
+    sieve = _BlockSieve(_primes_upto(math.isqrt(hi - 1))[1:], width)
+    for start in range(lo, hi, 2 * width):
+        yield start, *sieve.block(start, min(width, (hi - start + 1) // 2))
+
+
+def _excess_tau_lift(x: int, threshold: float, start: int, tau_n: np.ndarray) -> int:
+    """#{n <= x : tau(n) > threshold} over the n = 2^a·m whose odd part m is a row of a block.
+
+    ``start`` and ``tau_n`` are a block of ``_divisor_blocks``.  tau(2^a·m) =
+    (a + 1)·tau(m), an integer, so it exceeds threshold iff it is at least
+    least = floor(threshold) + 1, that is iff tau(m) >= ceil(least / (a + 1)):
+    one integer comparison for each a, over the rows m <= x >> a, a prefix of
+    the block.  The block at start 3 also takes m = 1, whose n = 2^a lie in
+    [3, x] for 2 <= a <= log2 x, so summed over the blocks of [3, x] this
+    counts every n in [3, x].
+    """
+    least = math.floor(threshold) + 1
+    count = sum(a + 1 >= least for a in range(2, x.bit_length())) if start == 3 else 0
+    a = 0
+    while (top := x >> a) >= start:
+        rows = min((top - start) // 2 + 1, len(tau_n))
+        count += int(np.count_nonzero(tau_n[:rows] >= -(-least // (a + 1))))
+        a += 1
+    return count
 
 
 def census_excess_tau(x: int) -> int:
     """#{3 <= n <= x : tau(n) > g(x) ln(ln x) ln(x)}.
 
-    tau comes from ``_divisor_blocks``, the one tau sieve, which
-    ``run_chain_census`` counts the same figure from.
+    tau of the odd n comes from ``_divisor_blocks``, the one tau sieve, and
+    ``_excess_tau_lift`` lifts it to the even n, as ``run_chain_census`` does
+    for the same figure.
     """
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
     threshold = _tau_threshold(x)
-    return sum(int((tau_n > threshold).sum()) for _, _, tau_n, _, _ in _divisor_blocks(3, x + 1))
+    return sum(
+        _excess_tau_lift(x, threshold, start, tau_n) for start, _, tau_n, _, _ in _divisor_blocks(3, x + 1)
+    )

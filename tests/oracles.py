@@ -154,14 +154,36 @@ def naive_predicates(n: int) -> tuple[bool, bool, bool]:
     return p1, p2, p3
 
 
-def divisor_block_oracle(lo: int, hi: int) -> list[tuple[int, int, int, int]]:
-    """(spf, tau(n), tau(n²), need) for each n in [lo, hi), one n at a time.
+def brute_predicates(n: int) -> tuple[bool, bool, bool]:
+    """(p1, p2, p3) by direct quantification over the proper divisors of n², built from n's exponents.
+
+    Each divisor d of n² comes with tau(d), the product of k + 1 over its
+    exponents k, one prime of ``naive_factorization`` at a time.  The
+    quantifiers are those of ``naive_predicates``, without its trial division
+    up to n, so this is fast enough for every n up to 5·10^4.
+    """
+    fac = naive_factorization(n)
+    n2 = n * n
+    pairs = [(1, 1)]
+    for p, a in fac:
+        pairs = [(d * p**k, t * (k + 1)) for d, t in pairs for k in range(2 * a + 1)]
+    tau_n = math.prod(a + 1 for _, a in fac)
+    tau_n2 = len(pairs)
+    proper = [(d, t) for d, t in pairs if d != n2]
+    p1 = all(d * t < n2 for d, t in proper)
+    p2 = all(d * tau_n2 < n2 for d, _ in proper)
+    p3 = all(d * tau_n * tau_n < n2 for d, _ in proper)
+    return p1, p2, p3
+
+
+def divisor_block_oracle(ns) -> list[tuple[int, int, int, int]]:
+    """(spf, tau(n), tau(n²), need) for each n of ``ns``, one n at a time.
 
     need is the least p + ceil(p / 2a) over the p^a exactly dividing n: the
     rows of the divisor sieve's block arrays.
     """
     rows = []
-    for n in range(lo, hi):
+    for n in ns:
         fac = _factorize(n)
         rows.append((
             fac[0][0],

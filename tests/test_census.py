@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from mondrian.errors import BFileParseError
 from mondrian.numtheory import (
     _factorize,
     _tau_threshold,
+    census_excess_tau,
     compute_z,
     rough_count,
     tau,
@@ -31,25 +33,30 @@ from mondrian.numtheory import (
     witness_report,
 )
 from oracles import (
+    brute_predicates,
     divisor_block_oracle,
     naive_factorization,
-    naive_is_rough,
     naive_predicates,
     naive_spf,
-    naive_tau,
     naive_witness,
 )
 
 
+@functools.cache
+def brute_row(n):
+    """(spf, tau(n), p1, p2, p3) of n from its trial-division factorisation."""
+    fac = naive_factorization(n)
+    return fac[0][0], math.prod(a + 1 for _, a in fac), *brute_predicates(n)
+
+
 def brute_census_counts(x):
-    """All census count fields recomputed from first principles."""
+    """All census count fields recomputed from first principles, one n at a time, even n included."""
     z = compute_z(x)
     threshold = _tau_threshold(x)
     c1 = c2 = c3 = c_rst = c_rough = c_excess = 0
     for n in range(3, x + 1):
-        p1, p2, p3 = naive_predicates(n)
-        rough = naive_is_rough(n, z)
-        tau_n = naive_tau(n)
+        spf, tau_n, p1, p2, p3 = brute_row(n)
+        rough = spf > z
         c1 += p1
         c2 += p2
         c3 += p3
@@ -57,6 +64,13 @@ def brute_census_counts(x):
         c_rough += rough
         c_excess += tau_n > threshold
     return z, c1, c2, c3, c_rst, c_rough, c_excess
+
+
+# the census lifts tau of each odd m to n = 2^a·m <= x: x around powers of two
+# (x = 15 lies below the census's domain), and, with blocks of 997 odd n, x
+# whose x >> a for a = 0, 1, 2 straddles a block end b = 3 + 1994j
+POWER_OF_TWO_XS = sorted({x for k in range(4, 15) for x in (2**k - 1, 2**k, 2**k + 1, 3 * 2**k)} - {15})
+BLOCK_END_XS = sorted({(b << a) + d for b in (1997, 3991, 9973) for a in (0, 1, 2) for d in (-2, -1, 0, 1)})
 
 
 class TestRunChainCensus:
@@ -74,15 +88,20 @@ class TestRunChainCensus:
                 r.count_rough_small_tau <= r.count_p3 <= r.count_p2 <= r.count_p1
             )
 
-    @pytest.mark.parametrize("x", [30, 200, 1000, 2500])
-    def test_every_field_matches_brute_force(self, x):
+    @pytest.mark.parametrize("x, block", [
+        *(pytest.param(x, numtheory._BLOCK, id=str(x)) for x in (30, 200, 1000, 2500)),
+        *(pytest.param(x, numtheory._BLOCK, id=f"power-of-two-{x}") for x in POWER_OF_TWO_XS),
+        *(pytest.param(x, 997, id=f"block-end-{x}") for x in BLOCK_END_XS),
+    ])
+    def test_every_field_matches_brute_force(self, x, block, monkeypatch):
+        monkeypatch.setattr(numtheory, "_BLOCK", block)
         z, c1, c2, c3, c_rst, c_rough, c_excess = brute_census_counts(x)
         r = run_chain_census(x)
         assert r.z == z
         assert (r.count_p1, r.count_p2, r.count_p3) == (c1, c2, c3)
         assert r.count_rough_small_tau == c_rst
         assert r.count_rough == c_rough
-        assert r.count_excess_tau == c_excess
+        assert r.count_excess_tau == census_excess_tau(x) == c_excess
 
     def test_reference_fields(self):
         r = run_chain_census(1000)
@@ -124,6 +143,23 @@ class TestRunChainCensus:
         assert r.count_excess_tau == 136162
 
 
+class TestEvenN:
+    """The census sieves odd n only: every even n fails p1, p2, p3 and roughness."""
+
+    def test_no_even_n_satisfies_a_predicate(self):
+        evens = range(4, 2 * 10**4 + 1, 2)
+        reports = map(witness_report, evens)
+        assert not [r.n for r in reports if r.p1 or r.p2 or r.p3]
+        assert not [n for n in evens if any(brute_predicates(n))]
+        # naive_predicates divides by every d <= n, so it takes the even n to 2000 only
+        assert not [n for n in range(4, 2001, 2) if any(naive_predicates(n))]
+
+    def test_no_even_n_is_rough(self):
+        # spf = 2 < 7 <= z; compute_z is increasing in x, so x = 16, the least census x, bounds it
+        assert compute_z(16) == 7
+        assert all(compute_z(x) >= 7 for x in range(16, 10**4))
+
+
 # the two least primes of the divisor sieve's indexed tier
 P, Q = [p for p in numtheory._primes_upto(100) if p >= numtheory._STRIDED_BELOW][:2]
 
@@ -140,7 +176,7 @@ class TestBlockedPass:
     @pytest.fixture(scope="class")
     def reference(self):
         rows = []
-        for n in range(3, self.LIMIT + 1):
+        for n in range(3, self.LIMIT + 1, 2):
             rep = witness_report(n)
             rows.append((naive_spf(n), tau(n), tau_of_square(n), rep.p1, rep.p2, rep.p3))
         return rows
@@ -150,19 +186,19 @@ class TestBlockedPass:
         monkeypatch.setattr(numtheory, "_BLOCK", block)
         rows = []
         for start, spf, tau_n, tau_n2, need in numtheory._divisor_blocks(3, self.LIMIT + 1):
-            assert start == 3 + len(rows)
+            assert start == 3 + 2 * len(rows)
             p1, p2, p3 = _block_predicates(spf, tau_n, tau_n2, need)
             rows.extend(zip(spf.tolist(), tau_n.tolist(), tau_n2.tolist(),
                             p1.tolist(), p2.tolist(), p3.tolist()))
         assert len(rows) == len(reference)
-        mismatched = [n for n, got, want in zip(range(3, self.LIMIT + 1), rows, reference) if got != want]
+        mismatched = [n for n, got, want in zip(range(3, self.LIMIT + 1, 2), rows, reference) if got != want]
         assert not mismatched
 
     def test_need_is_the_least_prime_bound(self):
         # p + ceil(p / 2a) minimised over n's primes, from the naive factorisation
         want = [
             min(p + -(-p // (2 * a)) for p, a in naive_factorization(n))
-            for n in range(3, self.LIMIT + 1)
+            for n in range(3, self.LIMIT + 1, 2)
         ]
         got = []
         for _, _, _, _, need in numtheory._divisor_blocks(3, self.LIMIT + 1):
@@ -198,10 +234,10 @@ class TestBlockedPass:
             assert run_chain_census(10**5) == base
 
     @pytest.mark.parametrize("lo, hi", [
-        pytest.param(3, 3 + numtheory._BLOCK, id="first-block"),
+        pytest.param(3, 3 + 2 * numtheory._BLOCK, id="first-block"),
         pytest.param(P - 1, P * P + 2, id="cutoff-prime-and-square"),
-        pytest.param(2, numtheory._STRIDED_BELOW**2, id="no-indexed-tier"),
-        pytest.param(2 * 3**2 * P**3, 2 * 3**2 * P**3 + 1, id="one-integer"),
+        pytest.param(3, numtheory._STRIDED_BELOW**2, id="no-indexed-tier"),
+        pytest.param(3**2 * P**3, 3**2 * P**3 + 1, id="one-integer"),
         # q * p² with q < p both indexed: spf is q, and the exponent 2 is p's
         pytest.param(*around(101 * 9949**2), id="101*9949^2"),
         pytest.param(*around(1009 * 3137**2), id="1009*3137^2"),
@@ -210,17 +246,19 @@ class TestBlockedPass:
         pytest.param(*around(97**2 * 1031**2), id="97^2*1031^2"),
     ])
     def test_block_arrays_match_the_factorisation(self, lo, hi):
-        [(_, *arrays)] = numtheory._divisor_blocks(lo, hi)  # each range fits in one block
+        [(start, *arrays)] = numtheory._divisor_blocks(lo, hi)  # each range fits in one block
         got = list(zip(*(a.tolist() for a in arrays)))
-        want = divisor_block_oracle(lo, hi)
-        assert len(got) == hi - lo
-        assert [n for n, g, w in zip(range(lo, hi), got, want) if g != w] == []
+        odd = range(lo | 1, hi, 2)
+        want = divisor_block_oracle(odd)
+        assert start == odd[0] and len(got) == len(odd)
+        assert [n for n, g, w in zip(odd, got, want) if g != w] == []
 
     def test_generators_share_no_workspace(self, monkeypatch):
         # zip advances both generators before either block is read, so a
         # workspace they shared would hold only the second block's rows
         monkeypatch.setattr(numtheory, "_BLOCK", 997)
-        ranges = [(3, 3 + 3 * 997 + 1), (10**6, 10**6 + 3 * 997 + 1)]  # the last block is one integer
+        # 3 * 997 + 1 odd n each, so the last block is one integer
+        ranges = [(3, 3 + 6 * 997 + 1), (10**6 + 1, 10**6 + 6 * 997 + 2)]
 
         def rows(blocks):
             return [(start, *(a.tolist() for a in arrays)) for start, *arrays in blocks]

@@ -27,6 +27,7 @@ from mondrian.numtheory import (
     _witnesses,
 )
 from oracles import (
+    brute_predicates,
     brute_witnesses,
     lucy_rough_count,
     naive_divisors,
@@ -173,7 +174,7 @@ class TestWitnessReport:
         for n in range(3, 260):
             r = witness_report(n)
             assert r.witness == naive_witness(n), n
-            assert (r.p1, r.p2, r.p3) == naive_predicates(n), n
+            assert (r.p1, r.p2, r.p3) == naive_predicates(n) == brute_predicates(n), n
 
     def test_witness_is_proper_divisor_with_inequality(self):
         for n in range(3, 400):
