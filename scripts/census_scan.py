@@ -18,6 +18,7 @@ import time
 
 from mondrian.census import CENSUS_CSV_HEADER, census_csv_row, run_chain_census
 from mondrian.cli import _at_least
+from mondrian.numtheory import CENSUS_SAFE_LIMIT
 
 
 def main() -> int:
@@ -25,9 +26,11 @@ def main() -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--xs", type=_at_least(16), nargs="+", required=True,
-                        help="census checkpoints (each >= 16)")
+                        help=f"census checkpoints (each in [16, {CENSUS_SAFE_LIMIT}])")
     parser.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
     args = parser.parse_args()
+    if max(args.xs) > CENSUS_SAFE_LIMIT:
+        parser.error(f"argument --xs: must be <= {CENSUS_SAFE_LIMIT}, got {max(args.xs)}")
 
     print(CENSUS_CSV_HEADER, file=args.out)
     for x in sorted(args.xs):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError, UsageError
 from .numtheory import (
+    CENSUS_SAFE_LIMIT,
     _chain_tests,
     _divisor_blocks,
     _excess_tau_lift,
@@ -116,7 +117,7 @@ def _block_predicates(
 
 
 def run_chain_census(x: int) -> CensusRecord:
-    """Evaluate every chain predicate over [3, x] and package exact counts.
+    """Evaluate every chain predicate over [3, x], 16 <= x <= ``CENSUS_SAFE_LIMIT``, and package exact counts.
 
     Everything runs in one thread, block by block.  One divisor sieve derives
     spf, tau(n), tau(n²) and the witness bound ``need`` for a block of odd n
@@ -138,6 +139,8 @@ def run_chain_census(x: int) -> CensusRecord:
     """
     if x < 16:
         raise ValueError(f"x must be >= 16, got {x}")
+    if x > CENSUS_SAFE_LIMIT:
+        raise UsageError(f"x={x} exceeds the census limit {CENSUS_SAFE_LIMIT}")
     z = compute_z(x)
     threshold = _tau_threshold(x)
 

@@ -53,16 +53,18 @@ _E_TO_E = math.exp(math.e)
 # and of _PAIRS entries
 ROUGH_SAFE_LIMIT = 10**13
 
+# upper end of run_chain_census's domain: its divisor sieve lays out slots for
+# every prime up to sqrt x, and a process sieving one block at the top of [3, x]
+# peaks at 49 MiB RSS at this bound, under the census's 64 MiB gate (80 at 10**13)
+CENSUS_SAFE_LIMIT = 10**12
+
 # prime pairs per chunk of _lucy's pass past x^¼, which holds a few int64 arrays
 # of this many entries; x = 10**13 with z = sqrt x has 47.5 M pairs
 _PAIRS = 1 << 12
 
-# odd integers per divisor-sieve block, so a block spans 2 * _BLOCK integers.
-# ``_divisor_blocks`` allocates its workspace once per call: eight int64 arrays
-# of _BLOCK + 1 entries (1 MiB), and for the indexed tier five arrays of one
-# slot per possible odd multiple, ceil(_BLOCK / p) for each prime 8 < p <=
-# isqrt(x): 1.2 slots per row at x = 10**7 (150 KiB an array), growing as
-# sum(1/p) + pi(isqrt x) / _BLOCK
+# odd integers per divisor-sieve block, so a block spans 2 * _BLOCK integers:
+# enough rows to spread each numpy call per prime and block, while the eight
+# int64 rows of ``_divisor_blocks``'s workspace stay at 1 MiB
 _BLOCK = 1 << 14
 
 # the divisor sieve's tier cutoff: primes below it take strided slices, the rest
@@ -152,19 +154,13 @@ def tau_of_square(n: int) -> int:
     return result
 
 
-def _divisor_tau_pairs(factors: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """All (d, tau(d)) for d dividing the n of ``factors``, unsorted."""
-    pairs = [(1, 1)]
-    for p, e in factors:
-        powers = [(p**k, k + 1) for k in range(e + 1)]
-        pairs = [(d * q, td * tq) for d, td in pairs for q, tq in powers]
-    return pairs
-
-
 def divisors(n: int) -> list[int]:
     """Ascending list of all positive divisors of n."""
     _check_range(n)
-    return sorted(d for d, _ in _divisor_tau_pairs(_factorize(n)))
+    out = [1]
+    for p, e in _factorize(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -448,52 +444,57 @@ class _Multiples:
         return np.minimum(idx, size, out=idx)
 
 
-class _BlockSieve:
-    """The divisor sieve over blocks of at most ``width`` odd integers, on one workspace.
+def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
+    """(start, spf, tau(n), tau(n²), need) for each block of ``_BLOCK`` odd n in [lo, hi); 3 <= lo.
 
-    Row i of a block holds n = start + 2i, for an odd start.  Eight int64
-    arrays of width + 1 entries, the indexed tier's slots (``_Multiples``) and
-    their buffers are allocated once; ``block`` writes every block into them
-    with ``out=`` and in-place ufuncs.  ``primes`` are odd: 2 divides no row.
+    [lo, hi) must hold an odd n.  Row i of a block holds n = start + 2i, and
+    start is odd.  The even n are not sieved: the censuses settle them
+    without these arrays, and ``_excess_tau_lift`` reads their tau off the
+    odd rows.  The workspace is allocated once per call: eight int64 arrays
+    of one entry per row plus a spare, the indexed tier's slots
+    (``_Multiples``) and their buffers.  Every block is written into it with
+    ``out=`` and in-place ufuncs, so the arrays a block yields are
+    overwritten when the next block is asked for: read or copy them before
+    advancing.  The workspace belongs to the call, so generators running
+    side by side share nothing.
+
+    A prime of exponent 1 multiplies tau(n) by 2 and tau(n²) by 3, so those
+    are only counted, and the exponents a >= 2 are worked out on the
+    multiples of p² alone.  The sieved prime powers multiply to n, or to n
+    over one prime beyond the sieve; an n no prime crosses off is prime and
+    keeps spf = n.  Each block sieves only the odd primes up to the square
+    root of its last n: a larger p² could exceed the n of the spare row that
+    clipped slots read, and that cofactor 0 would never stop dividing by p.
+
+    The primes are sieved in two tiers.  Those of ``_STRIDED_BELOW`` and up
+    have few multiples in a block, where a strided slice costs a numpy call
+    per array and prime, so they go through one indexed pass over all their
+    multiples, and again over those of their squares, with ``ufunc.at``
+    wherever two primes may share an index; spf is the least of them
+    (``minimum.at``).  This tier runs first: the small primes then take one
+    strided slice per array, largest first, so their plain writes of spf
+    land last and the smallest prime dividing n is the one that stays.
+
+    ``need`` is the least p + ceil(p / 2a) over the p^a exactly dividing n:
+    n has a filter witness iff tau(n²) >= need (``_prime_bound``).  Among
+    the primes of exponent 1 the smallest gives the least bound, and a spf
+    of exponent a >= 2 got its lower bound in the p² pass, so after the
+    primes only spf's bound with a = 1 is still to be taken in.
     """
-
-    def __init__(self, primes: list[int], width: int):
-        self.primes = primes
-        self.split = split = bisect_left(primes, _STRIDED_BELOW)
-        large = np.array(primes[split:], dtype=np.int64)
-        self.ones = _Multiples(large, 1, width)
-        self.squares = _Multiples(large, 2, width)
-        self.m, self.a = np.empty((2, len(self.squares.idx)), dtype=np.int64)
-        # n, spf, tau(n), tau(n²), need, once, power and scratch; entry width is spare
-        self.rows = np.empty((8, width + 1), dtype=np.int64)
-        self.rows[0] = np.arange(0, 2 * width + 1, 2)
-
-    def block(self, start: int, size: int) -> tuple[np.ndarray, ...]:
-        """(spf, tau(n), tau(n²), need) for the odd n = start + 2i, i < size, views of the workspace.
-
-        Needs an odd start >= 3 and every odd prime up to isqrt(start + 2size
-        - 2) in ``primes``.  A prime of exponent 1 multiplies tau(n) by 2 and
-        tau(n²) by 3, so those are only counted, and the exponents a >= 2 are
-        worked out on the multiples of p² alone.  The sieved prime powers
-        multiply to n, or to n over one prime beyond the sieve; an n no prime
-        crosses off is prime and keeps spf = n.
-
-        The primes are sieved in two tiers.  Those of ``_STRIDED_BELOW`` and up
-        have few multiples in a block, where a strided slice costs a numpy call
-        per array and prime, so they go through one indexed pass over all their
-        multiples, and again over those of their squares, with ``ufunc.at``
-        wherever two primes may share an index; spf is the least of them
-        (``minimum.at``).  This tier runs first: the small primes then take one
-        strided slice per array, largest first, so their plain writes of spf
-        land last and the smallest prime dividing n is the one that stays.
-
-        ``need`` is the least p + ceil(p / 2a) over the p^a exactly dividing n:
-        n has a filter witness iff tau(n²) >= need (``_prime_bound``).  Among
-        the primes of exponent 1 the smallest gives the least bound, and a spf
-        of exponent a >= 2 got its lower bound in the p² pass, so after the
-        primes only spf's bound with a = 1 is still to be taken in.
-        """
-        n, spf, tau_n, tau_n2, need, once, power, scratch = self.rows
+    lo |= 1
+    width = min(_BLOCK, (hi - lo + 1) // 2)
+    primes = _primes_upto(math.isqrt(hi - 1))[1:]  # odd: 2 divides no row
+    split = bisect_left(primes, _STRIDED_BELOW)
+    large = np.array(primes[split:], dtype=np.int64)
+    ones = _Multiples(large, 1, width)
+    squares = _Multiples(large, 2, width)
+    m_buf, a_buf = np.empty((2, len(squares.idx)), dtype=np.int64)
+    # n, spf, tau(n), tau(n²), need, once, power and scratch; entry width is spare
+    rows = np.empty((8, width + 1), dtype=np.int64)
+    rows[0] = np.arange(0, 2 * width + 1, 2)
+    for start in range(lo, hi, 2 * width):
+        size = min(width, (hi - start + 1) // 2)
+        n, spf, tau_n, tau_n2, need, once, power, scratch = rows
         n += start - int(n[0])
         np.copyto(spf, n)
         tau_n.fill(1)  # prod of a + 1 over the primes with a >= 2
@@ -502,19 +503,19 @@ class _BlockSieve:
         once.fill(0)  # sieved primes dividing n exactly once
         power.fill(1)  # prod of the sieved prime powers p^a dividing n
         # large tier: every multiple of every large prime, then of its square
-        used = bisect_right(self.primes, math.isqrt(start + 2 * size - 2))  # the primes this block needs
-        k = max(used - self.split, 0)  # of them in the large tier
-        idx = self.ones.index(start, size, k)
-        p = self.ones.p[: len(idx)]
+        used = bisect_right(primes, math.isqrt(start + 2 * size - 2))  # the primes this block needs
+        k = max(used - split, 0)  # of them in the large tier
+        idx = ones.index(start, size, k)
+        p = ones.p[: len(idx)]
         np.minimum.at(spf, idx, p)
         np.add.at(once, idx, 1)
         np.multiply.at(power, idx, p)
-        idx = self.squares.index(start, size, k)
-        p = self.squares.p[: len(idx)]
+        idx = squares.index(start, size, k)
+        p = squares.p[: len(idx)]
         # a - 2 = v_p(m) for m = n / p², dividing only the m still divisible by p
-        m, a = self.m[: len(idx)], self.a[: len(idx)]
+        m, a = m_buf[: len(idx)], a_buf[: len(idx)]
         np.take(n, idx, out=m)
-        m //= self.squares.step[: len(idx)]
+        m //= squares.step[: len(idx)]
         a.fill(2)
         live = np.arange(len(idx))
         while len(live := live[m[live] % p[live] == 0]):
@@ -526,8 +527,8 @@ class _BlockSieve:
         np.multiply.at(tau_n2, idx, 2 * a + 1)
         np.minimum.at(need, idx, _prime_bound(p, a))
         # small tier: one strided slice per prime, largest first
-        n, spf, tau_n, tau_n2, need, once, power, _ = self.rows[:, :size]
-        for p in reversed(self.primes[: min(used, self.split)]):
+        n, spf, tau_n, tau_n2, need, once, power, _ = rows[:, :size]
+        for p in reversed(primes[: min(used, split)]):
             s = _first_row(start, p)
             spf[s::p] = p
             once[s::p] += 1
@@ -555,25 +556,7 @@ class _BlockSieve:
         tau_n <<= once
         tau_n2 *= np.take(_POW3, once, out=scratch)
         np.minimum(need, _prime_bound(spf, 1, out=scratch), out=need)
-        return spf, tau_n, tau_n2, need
-
-
-def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
-    """(start, spf, tau(n), tau(n²), need) for each block of ``_BLOCK`` odd n in [lo, hi); 3 <= lo.
-
-    [lo, hi) must hold an odd n.  Row i of a block holds n = start + 2i, and
-    start is odd.  The even n are not sieved: the censuses settle them
-    without these arrays, and ``_excess_tau_lift`` reads their tau off the
-    odd rows.  One workspace (``_BlockSieve``) serves every block of the
-    call, so the arrays a block yields are overwritten when the next block
-    is asked for: read or copy them before advancing.  The workspace belongs
-    to the call, so generators running side by side share nothing.
-    """
-    lo |= 1
-    width = min(_BLOCK, (hi - lo + 1) // 2)
-    sieve = _BlockSieve(_primes_upto(math.isqrt(hi - 1))[1:], width)
-    for start in range(lo, hi, 2 * width):
-        yield start, *sieve.block(start, min(width, (hi - start + 1) // 2))
+        yield start, spf, tau_n, tau_n2, need
 
 
 def _excess_tau_lift(x: int, threshold: float, start: int, tau_n: np.ndarray) -> int:

@@ -197,10 +197,16 @@ class TestDispatch:
              "error: range [3, 25] outside series [3, 20]\n"),
             (["verify-oeis", "--bfile", str(DATA_DIR / "b276523.txt"), "--from", "5", "--to", "4"],
              "error: empty range [5, 4]\n"),
+            (["census", "--x", str(numtheory.CENSUS_SAFE_LIMIT + 1)],
+             "error: x=1000000000001 exceeds the census limit 1000000000000\n"),
+            (["chain", "--x", str(numtheory.CENSUS_SAFE_LIMIT + 1), "--format", "json"],
+             "error: x=1000000000001 exceeds the census limit 1000000000000\n"),
         ],
-        ids=["rough-small-x", "perfect-beyond-witness-limit", "oeis-outside-series", "oeis-empty"],
+        ids=["rough-small-x", "perfect-beyond-witness-limit", "oeis-outside-series", "oeis-empty",
+             "census-beyond-limit", "chain-beyond-limit"],
     )
-    def test_input_out_of_domain_is_usage_error(self, capsys, args, message):
+    def test_input_out_of_domain_is_usage_error(self, capsys, monkeypatch, args, message):
+        monkeypatch.setattr(numtheory, "_primes_upto", None)  # no sieve may start
         assert main(args) == 2
         assert capsys.readouterr() == ("", message)
 
