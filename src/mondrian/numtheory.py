@@ -6,8 +6,8 @@ that gives the censuses spf, tau(n), tau(n²) and the least witness bound of
 ``_prime_bound`` for the odd n only, in O(block) memory, the lift of its tau to
 the even n = 2^a·m (``_excess_tau_lift``), and exact counting primitives: z-rough
 integers (``rough_count``) by a floor-quotient sieve over the O(sqrt x) values
-x // k up to min(z, x^¼) and a chunked pass over prime pairs for the primes
-past it, and the divisor summatory function.
+x // k, odd k only, up to min(z, x^¼) and a chunked pass over prime pairs for
+the primes past it, and the divisor summatory function.
 ``FactorTable`` remains as a standalone spf table that no other function uses.
 All arithmetic is exact integer arithmetic; the only floats are the analytic
 reference quantities (thresholds, Mertens-type densities).
@@ -47,10 +47,10 @@ WITNESS_SAFE_LIMIT = 10**6
 
 _E_TO_E = math.exp(math.e)
 
-# rough_count's sieve keeps four int64 arrays of isqrt(x) + 1 entries, about
-# 100 MB at this bound, where x // k stays far inside int64; its prime-pair pass
-# frees two of them and keeps a few arrays of one entry per prime up to sqrt x
-# and of _PAIRS entries
+# rough_count's sieve keeps one int64 array of isqrt(x) + 1 entries and three of
+# half that, about 63 MB at this bound, where x // k stays far inside int64; its
+# prime-pair pass frees two of the halves and keeps a few arrays of one entry
+# per prime up to sqrt x and of _PAIRS entries
 ROUGH_SAFE_LIMIT = 10**13
 
 # upper end of run_chain_census's domain: its divisor sieve lays out slots for
@@ -275,40 +275,52 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
 
     S(v) counts the m in [2, v] that are prime or have every prime factor
     above the last prime applied; it starts at v - 1, and applying the j-th
-    prime p (0-based) lowers S(v) by S(v // p) - j for every v >= p².  Only
-    the floor quotients of x are kept: ``small[v]`` = S(v) for v <= r = isqrt x
-    and ``large[k]`` = S(x // k) for k <= r.
+    prime p (0-based) lowers S(v) by S(v // p) - j for every v >= p².
+    Prime 2 is applied in closed form: S(v) = (v + 1) // 2 for v >= 2, the
+    prime 2 and the odd m in [3, v].  After it no even k is read again, so
+    only the floor quotients x // k for odd k are kept: ``small[v]`` = S(v)
+    for v <= r = isqrt x, and ``large[i]`` = S(x // k), ``quot[i]`` = x // k
+    for the odd k = 2i + 1 <= r.  An odd prime p takes S(x // kp) from
+    ``large[(kp - 1) / 2]`` = ``large[i·p + (p - 1) / 2]`` while kp <= r, and
+    from ``small`` past it.  The three arrays hold about 2.5·sqrt x int64
+    entries, against 4·sqrt x with every k.
 
-    The loop applies the primes up to min(z, b), b = isqrt(r); after it
+    The loop applies the primes up to min(z, b), b = isqrt(r), and prime 2
+    whenever 2 <= min(z, r), also for x < 16 where b < 2; after it
     ``small[v]`` = pi(v) for every v <= r.  Each later prime p_i has p_i⁴ > x
     (Lehmer's split at x^¼), so its term S_i(x // p_i) - i is read off in
-    closed form: S_i(x // p_i) is ``large[p_i]`` less, for each earlier such
-    prime p_j with p_i·p_j² <= x, the term ``small[x // (p_i·p_j)]`` - j,
-    whose index is at most r and below p_j².  Those prime pairs are summed
-    ``_PAIRS`` at a time, so memory stays O(sqrt x).
+    closed form: S_i(x // p_i) is ``large[(p_i - 1) / 2]`` less, for each
+    earlier such prime p_j with p_i·p_j² <= x, the term
+    ``small[x // (p_i·p_j)]`` - j, whose index is at most r and below p_j².
+    Those prime pairs are summed ``_PAIRS`` at a time, so memory stays
+    O(sqrt x).
     """
     r = math.isqrt(x)
     primes = _primes_upto(min(z, r))
-    looped = bisect_right(primes, math.isqrt(r))
-    small = np.arange(-1, r, dtype=np.int64)
-    quot = np.arange(r + 1, dtype=np.int64)
-    quot[0] = 1
-    np.floor_divide(x, quot, out=quot)  # quot[k] = x // k
-    large = quot - 1
-    buf = np.empty(r + 1, dtype=np.int64)  # scratch; each right-hand side is copied here first
-    for j, p in enumerate(primes[:looped]):
-        kmax = min(r, x // (p * p))  # large[k] changes while x // k >= p²
-        mid = min(kmax, r // p)
-        # kp <= r: S(x // kp) is large[kp]
-        np.subtract(large[p : p * mid + 1 : p], j, out=buf[:mid])
-        np.subtract(large[1 : mid + 1], buf[:mid], out=large[1 : mid + 1])
+    if not primes:
+        return x - 1, 0
+    looped = max(1, bisect_right(primes, math.isqrt(r)))
+    small = np.arange(1, r + 2, dtype=np.int64) // 2  # S(v) = (v + 1) // 2
+    small[:2] = (-1, 0)  # S(v) = v - 1 below 2
+    quot = np.arange(1, r + 1, 2, dtype=np.int64)
+    np.floor_divide(x, quot, out=quot)  # quot[i] = x // (2i + 1) >= r >= 2, so S is (v + 1) // 2
+    large = (quot + 1) // 2
+    buf = np.empty_like(quot)  # scratch; each right-hand side is copied here first
+    for j in range(1, looped):
+        p = primes[j]
+        # large[i] changes while x // k >= p², that is for i < end
+        kmax = min(r, x // (p * p))
+        end, mid = (kmax + 1) // 2, (min(kmax, r // p) + 1) // 2
+        # kp <= r: S(x // kp) is large[i·p + (p - 1) / 2]
+        np.subtract(large[p // 2 : p // 2 + p * mid : p], j, out=buf[:mid])
+        np.subtract(large[:mid], buf[:mid], out=large[:mid])
         # kp > r: x // kp <= r, read from small
-        tail = buf[: kmax - mid]
-        np.floor_divide(quot[mid + 1 : kmax + 1], p, out=tail)
+        tail = buf[: end - mid]
+        np.floor_divide(quot[mid:end], p, out=tail)
         # take reads each index before it writes that slot, so tail can be both
         np.take(small, tail, out=tail, mode="clip")
         np.subtract(tail, j, out=tail)
-        np.subtract(large[mid + 1 : kmax + 1], tail, out=large[mid + 1 : kmax + 1])
+        np.subtract(large[mid:end], tail, out=large[mid:end])
         # p² <= v <= r: v // p = w for the p values v in [wp, wp + p)
         top = r // p
         if top >= p:
@@ -316,14 +328,14 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
             np.subtract(small[p:top], j, out=buf[: top - p])
             runs = small[p * p : p * top].reshape(top - p, p)
             np.subtract(runs, buf[: top - p, None], out=runs)
-    s = int(large[1])
+    s = int(large[0])
     if looped == len(primes):
         return s, len(primes)
     del quot, buf  # the pair pass below needs neither, so its arrays take their place
-    # the primes past b, and their indices i among all the primes applied
+    # the primes past b, all odd, and their indices i among all the primes applied
     rest = np.array(primes[looped:], dtype=np.int64)
     index = np.arange(looped, len(primes), dtype=np.int64)
-    s -= int(large[rest].sum() - index.sum())
+    s -= int(large[rest // 2].sum() - index.sum())
     # rest[j] pairs with each rest[i], j < i < ends[j]: the p_i with p_i·p_j² <= x
     ends = np.searchsorted(rest, x // (rest * rest), side="right")
     counts = np.maximum(ends - np.arange(1, len(rest) + 1), 0)
@@ -343,12 +355,13 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
 def rough_count(x: int, z: int) -> int:
     """Exact |{n <= x : n is z-rough}|, with 1 included, for 1 <= x <= ``ROUGH_SAFE_LIMIT``.
 
-    This is Legendre's phi(x, pi(z)) by ``_lucy``: Lucy's floor-quotient
-    sieve up to min(z, x^¼), then one chunked pass over prime pairs for the
-    primes in (x^¼, min(z, sqrt x)].  O(x^(3/4) / log x) time and O(sqrt x)
-    memory.  For z >= isqrt(x) every prime up to sqrt x has been applied, so
-    S(x) = pi(x) and the count is 1 + pi(x) - pi(min(z, x)); z >= x leaves
-    only 1 and sieves nothing.
+    This is Legendre's phi(x, pi(z)) by ``_lucy``: prime 2 in closed form,
+    Lucy's floor-quotient sieve over the odd k up to min(z, x^¼), then one
+    chunked pass over prime pairs for the primes in (x^¼, min(z, sqrt x)].
+    O(x^(3/4) / log x) time, and memory of about 2.5·sqrt x int64 entries.
+    For z >= isqrt(x) every prime up to sqrt x has been applied, so S(x) =
+    pi(x) and the count is 1 + pi(x) - pi(min(z, x)); z >= x leaves only 1
+    and sieves nothing.
     """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")

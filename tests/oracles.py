@@ -7,8 +7,10 @@ library under test.  Only the certificate data classes ``Placement`` and
 the kernel it checks returns, and ``divisor_block_oracle`` factors with the
 library's ``_factorize`` (itself checked against ``naive_factorization``),
 which is fast enough for a block of n near 10**12.  ``lucy_rough_count`` is
-the one numpy oracle: Lucy's floor-quotient sieve applying every prime up to
-min(z, sqrt x) in its loop, without the split at x^¼ that ``rough_count`` makes.
+the one numpy oracle: Lucy's floor-quotient sieve over every k <= sqrt x,
+applying every prime up to min(z, sqrt x) in its loop, without the closed
+form for prime 2, the odd-k layout or the split at x^¼ that ``rough_count``
+makes.
 """
 
 from __future__ import annotations
@@ -57,14 +59,22 @@ def naive_is_rough(n: int, z: int) -> bool:
     return all(d > z for d in naive_divisors(n) if d > 1)
 
 
-def sieve_rough_count(x: int, z: int) -> int:
-    """|{n <= x : n is z-rough}| by crossing off every multiple of each prime <= z."""
+def sieve_rough_counts(x: int, z: int) -> list[int]:
+    """counts[v] = |{n <= v : n is z-rough}| for every v <= x.
+
+    One sieve crosses off every multiple of each prime <= z.
+    """
     alive = [True] * (x + 1)
     alive[0] = False
     for p in range(2, min(z, x) + 1):
         if alive[p]:  # every smaller prime is crossed off already, so p is prime
             alive[p::p] = [False] * len(range(p, x + 1, p))
-    return sum(alive)
+    return list(itertools.accumulate(alive))
+
+
+def sieve_rough_count(x: int, z: int) -> int:
+    """|{n <= x : n is z-rough}|, the last entry of ``sieve_rough_counts``."""
+    return sieve_rough_counts(x, z)[x]
 
 
 def lucy_rough_count(x: int, z: int) -> int:

@@ -160,6 +160,24 @@ class TestEvenN:
         assert all(compute_z(x) >= 7 for x in range(16, 10**4))
 
 
+class TestMultiplesOfThree:
+    """Of the n divisible by 3, only n = 3 is in p1, and none is in p2, p3 or the z-rough set.
+
+    3 | n with n > 3 has tau(n²) >= 5 >= 3 + ceil(3 / 2a), so n²/3 is a
+    witness; n = 3 has tau(9) = 3 < 5.  p2 needs tau(n²) < spf(n) <= 3, and
+    spf(n) <= 3 < 7 <= z (``TestEvenN``) keeps every such n from being z-rough.
+    """
+
+    def test_only_three_satisfies_a_predicate(self):
+        threes = range(3, 2 * 10**4 + 1, 3)
+        reports = [witness_report(n) for n in threes]
+        assert [r.n for r in reports if r.p1] == [3]
+        assert not [r.n for r in reports if r.p2 or r.p3]
+        brute = [brute_predicates(n) for n in threes]
+        assert [n for n, (p1, _, _) in zip(threes, brute) if p1] == [3]
+        assert not [n for n, (_, p2, p3) in zip(threes, brute) if p2 or p3]
+
+
 # the two least primes of the divisor sieve's indexed tier
 P, Q = [p for p in numtheory._primes_upto(100) if p >= numtheory._STRIDED_BELOW][:2]
 

@@ -38,6 +38,7 @@ from oracles import (
     naive_tau,
     naive_witness,
     sieve_rough_count,
+    sieve_rough_counts,
 )
 
 ROUGH_BOUNDARY_PRIMES = (2, 3, 5, 7, 31, 97)
@@ -304,6 +305,14 @@ class TestRoughCount:
         zs |= {q for p in ROUGH_BOUNDARY_PRIMES for q in (p - 1, p)}
         for z in sorted(zs):
             assert rough_count(x, z) == sieve_rough_count(x, z), (x, z)
+
+    def test_every_small_x_and_z(self):
+        # covers x < 16, where 2 > x^¼ and prime 2 is still applied in closed
+        # form, z in {0, 1}, and both parities of isqrt x at every z
+        for z in range(61):
+            want = sieve_rough_counts(3000, z)
+            got = [rough_count(x, z) for x in range(1, 3001)]
+            assert got == want[1:], z
 
     def test_prime_count_anchors(self):
         # 1 + pi(x) - pi(sqrt x), pi(10**k) from OEIS A006880
