@@ -24,6 +24,8 @@ def main() -> int:
     parser.add_argument("--budget", type=_at_least(1), default=10**9)
     parser.add_argument("--bfile", default=None)
     args = parser.parse_args()
+    if args.to_n < args.from_n:
+        parser.error(f"argument --to: must be >= --from {args.from_n}, got {args.to_n}")
 
     try:
         series = load_bfile(args.bfile) if args.bfile else None

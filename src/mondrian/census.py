@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import IO
+from dataclasses import dataclass, fields
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -56,12 +56,6 @@ __all__ = [
 # Euler-Mascheroni constant, the single source for both reference densities.
 EULER_GAMMA = 0.57721566490153286
 
-CENSUS_CSV_HEADER = (
-    "x,z,count_p1,count_p2,count_p3,count_rough_small_tau,"
-    "count_rough,count_excess_tau,theorem_rhs,mertens_rhs"
-)
-
-
 @dataclass(frozen=True)
 class CensusRecord:
     """Counts of the nested predicate sets over [3, x] plus reference values."""
@@ -77,6 +71,11 @@ class CensusRecord:
     theorem_rhs: float  # (e^-gamma / 2) * x / ln ln x
     mertens_rhs: float  # e^-gamma * x / ln z
     euler_gamma: float = EULER_GAMMA
+
+
+# the output columns of a census record, in order: every field but euler_gamma
+_CENSUS_COLUMNS = tuple(f.name for f in fields(CensusRecord) if f.name != "euler_gamma")
+CENSUS_CSV_HEADER = ",".join(_CENSUS_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -216,29 +215,20 @@ def _sig6(v: float) -> float:
     return float(f"{v:.6g}")
 
 
+def _census_cells(record: CensusRecord) -> Iterator[tuple[str, int | float]]:
+    return ((column, getattr(record, column)) for column in _CENSUS_COLUMNS)
+
+
 def census_csv_row(record: CensusRecord) -> str:
-    return (
-        f"{record.x},{record.z},{record.count_p1},{record.count_p2},"
-        f"{record.count_p3},{record.count_rough_small_tau},{record.count_rough},"
-        f"{record.count_excess_tau},{record.theorem_rhs:.6g},{record.mertens_rhs:.6g}"
-    )
+    """One CSV row under ``CENSUS_CSV_HEADER``; floats to 6 significant digits."""
+    return ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for _, v in _census_cells(record))
 
 
 def census_json_dict(record: CensusRecord) -> dict:
     """JSON mirror of the CSV row plus a notes array."""
-    return {
-        "x": record.x,
-        "z": record.z,
-        "count_p1": record.count_p1,
-        "count_p2": record.count_p2,
-        "count_p3": record.count_p3,
-        "count_rough_small_tau": record.count_rough_small_tau,
-        "count_rough": record.count_rough,
-        "count_excess_tau": record.count_excess_tau,
-        "theorem_rhs": _sig6(record.theorem_rhs),
-        "mertens_rhs": _sig6(record.mertens_rhs),
-        "notes": list(_REPORT_NOTES),
-    }
+    out = {column: _sig6(v) if isinstance(v, float) else v for column, v in _census_cells(record)}
+    out["notes"] = list(_REPORT_NOTES)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -433,28 +433,27 @@ class _Multiples:
     p runs over ``primes``, all odd.  The slots are laid out once per call,
     ceil(width / p**exponent) for each p in the order of ``primes``, which is
     room for every multiple in any block, since they lie p**exponent rows
-    apart.  ``index`` writes a block's row indices into one reused buffer; a
+    apart.  ``index`` writes the row of every slot into one reused buffer; a
     slot that falls past the block's end points at the spare entry ``size`` of
-    the workspace, which the block's views hide.
+    the workspace, which the block's views hide, so each block takes every
+    prime's slots, also those of primes with no multiple in it.
     """
 
     def __init__(self, primes: np.ndarray, exponent: int, width: int):
         self.steps = primes**exponent
         count = -(-width // self.steps)
-        self.ends = np.cumsum(count)  # the slots of the first k primes end at ends[k - 1]
+        ends = np.cumsum(count)
         self.owner = np.repeat(np.arange(len(primes)), count)
         self.p = primes[self.owner]  # the prime and the step p**exponent of each slot
         self.step = self.steps[self.owner]
-        self.offset = self.step * (np.arange(len(self.owner)) - (self.ends - count)[self.owner])
+        self.offset = self.step * (np.arange(len(self.owner)) - (ends - count)[self.owner])
         self.idx = np.empty(len(self.owner), dtype=np.intp)
 
-    def index(self, start: int, size: int, k: int) -> np.ndarray:
-        """The row in [0, size), or ``size``, of each slot of the first k primes, for rows n = start + 2i."""
-        used = int(self.ends[k - 1]) if k else 0
-        idx = self.idx[:used]
-        np.take(_first_row(start, self.steps), self.owner[:used], out=idx)
-        idx += self.offset[:used]
-        return np.minimum(idx, size, out=idx)
+    def index(self, start: int, size: int) -> np.ndarray:
+        """The row in [0, size), or ``size``, of each slot, for rows n = start + 2i."""
+        np.take(_first_row(start, self.steps), self.owner, out=self.idx)
+        self.idx += self.offset
+        return np.minimum(self.idx, size, out=self.idx)
 
 
 def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
@@ -475,9 +474,9 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
     are only counted, and the exponents a >= 2 are worked out on the
     multiples of p² alone.  The sieved prime powers multiply to n, or to n
     over one prime beyond the sieve; an n no prime crosses off is prime and
-    keeps spf = n.  Each block sieves only the odd primes up to the square
-    root of its last n: a larger p² could exceed the n of the spare row that
-    clipped slots read, and that cofactor 0 would never stop dividing by p.
+    keeps spf = n.  Every block sieves every odd prime up to sqrt(hi - 1); a
+    clipped slot whose p² exceeds the spare row's n gets cofactor 0, which p
+    always divides, so the exponent loop only follows the nonzero cofactors.
 
     The primes are sieved in two tiers.  Those of ``_STRIDED_BELOW`` and up
     have few multiples in a block, where a strided slice costs a numpy call
@@ -516,21 +515,18 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
         once.fill(0)  # sieved primes dividing n exactly once
         power.fill(1)  # prod of the sieved prime powers p^a dividing n
         # large tier: every multiple of every large prime, then of its square
-        used = bisect_right(primes, math.isqrt(start + 2 * size - 2))  # the primes this block needs
-        k = max(used - split, 0)  # of them in the large tier
-        idx = ones.index(start, size, k)
-        p = ones.p[: len(idx)]
-        np.minimum.at(spf, idx, p)
+        idx = ones.index(start, size)
+        np.minimum.at(spf, idx, ones.p)
         np.add.at(once, idx, 1)
-        np.multiply.at(power, idx, p)
-        idx = squares.index(start, size, k)
-        p = squares.p[: len(idx)]
+        np.multiply.at(power, idx, ones.p)
+        idx = squares.index(start, size)
+        p = squares.p
         # a - 2 = v_p(m) for m = n / p², dividing only the m still divisible by p
-        m, a = m_buf[: len(idx)], a_buf[: len(idx)]
+        m, a = m_buf, a_buf
         np.take(n, idx, out=m)
-        m //= squares.step[: len(idx)]
+        m //= squares.step
         a.fill(2)
-        live = np.arange(len(idx))
+        live = np.flatnonzero(m)
         while len(live := live[m[live] % p[live] == 0]):
             m[live] //= p[live]
             a[live] += 1
@@ -541,7 +537,7 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
         np.minimum.at(need, idx, _prime_bound(p, a))
         # small tier: one strided slice per prime, largest first
         n, spf, tau_n, tau_n2, need, once, power, _ = rows[:, :size]
-        for p in reversed(primes[: min(used, split)]):
+        for p in reversed(primes[:split]):
             s = _first_row(start, p)
             spf[s::p] = p
             once[s::p] += 1

@@ -443,14 +443,12 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
         raise ValueError(f"node_budget must be positive, got {node_budget}")
     target = n * n
     by_area = [rects_with_area(a, n) if a else [] for a in range(target + 1)]
-    # availability prefix: cum[a] = total area of distinct fitting rects with area <= a
-    cum = list(itertools.accumulate(a * len(rects) for a, rects in enumerate(by_area)))
 
     def level(w: int) -> Iterator[tuple[Rect, ...]]:
         # a tiling of >= 2 pieces has its smallest area <= n²/2, so the untiled square never shows
         for a in range(target // 2, 0, -1):
             hi = a + w
-            if hi > target or not by_area[a] or not by_area[hi] or cum[hi] - cum[a - 1] < target:
+            if hi > target or not by_area[a] or not by_area[hi]:
                 continue
             cands = [r for area in range(hi, a - 1, -1) for r in by_area[area]]
             yield from _piece_sets(n, cands, a, hi, exact_spread=True)
