@@ -27,16 +27,20 @@ def main() -> int:
     )
     parser.add_argument("--xs", type=_at_least(16), nargs="+", required=True,
                         help=f"census checkpoints (each in [16, {CENSUS_SAFE_LIMIT}])")
-    parser.add_argument("--out", type=argparse.FileType("w"), default=sys.stdout)
+    parser.add_argument("--out", default="-", help="CSV file to write (default: stdout)")
     args = parser.parse_args()
     if max(args.xs) > CENSUS_SAFE_LIMIT:
         parser.error(f"argument --xs: must be <= {CENSUS_SAFE_LIMIT}, got {max(args.xs)}")
+    try:  # opened only once every argument is checked, so a usage error truncates nothing
+        out = argparse.FileType("w")(args.out)
+    except argparse.ArgumentTypeError as err:
+        parser.error(f"argument --out: {err}")
 
-    print(CENSUS_CSV_HEADER, file=args.out)
+    print(CENSUS_CSV_HEADER, file=out)
     for x in sorted(args.xs):
         start = time.monotonic()
         record = run_chain_census(x)
-        print(census_csv_row(record), file=args.out, flush=True)
+        print(census_csv_row(record), file=out, flush=True)
         print(f"x={x}: {time.monotonic() - start:.2f}s", file=sys.stderr)
     return 0
 

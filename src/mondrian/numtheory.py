@@ -6,8 +6,8 @@ that gives the censuses spf, tau(n), tau(n²) and the least witness bound of
 ``_prime_bound`` for the odd n only, in O(block) memory, the lift of its tau to
 the even n = 2^a·m (``_excess_tau_lift``), and exact counting primitives: z-rough
 integers (``rough_count``) by a floor-quotient sieve over the O(sqrt x) values
-x // k, odd k only, up to min(z, x^¼) and a chunked pass over prime pairs for
-the primes past it, and the divisor summatory function.
+x // k, odd k only, up to min(z, x^¼) and a pass over prime pairs, one slice
+per smaller prime, for the primes past it, and the divisor summatory function.
 ``FactorTable`` remains as a standalone spf table that no other function uses.
 All arithmetic is exact integer arithmetic; the only floats are the analytic
 reference quantities (thresholds, Mertens-type densities).
@@ -50,17 +50,14 @@ _E_TO_E = math.exp(math.e)
 # rough_count's sieve keeps one int64 array of isqrt(x) + 1 entries and three of
 # half that, about 63 MB at this bound, where x // k stays far inside int64; its
 # prime-pair pass frees two of the halves and keeps a few arrays of one entry
-# per prime up to sqrt x and of _PAIRS entries
+# per prime up to sqrt x
 ROUGH_SAFE_LIMIT = 10**13
 
-# upper end of run_chain_census's domain: its divisor sieve lays out slots for
-# every prime up to sqrt x, and a process sieving one block at the top of [3, x]
-# peaks at 49 MiB RSS at this bound, under the census's 64 MiB gate (80 at 10**13)
+# upper end of the domain of run_chain_census and census_excess_tau: their
+# divisor sieve lays out slots for every prime up to sqrt x, and a process
+# sieving one block at the top of [3, x] peaks at 49 MiB RSS at this bound,
+# under the census's 64 MiB gate (80 at 10**13)
 CENSUS_SAFE_LIMIT = 10**12
-
-# prime pairs per chunk of _lucy's pass past x^¼, which holds a few int64 arrays
-# of this many entries; x = 10**13 with z = sqrt x has 47.5 M pairs
-_PAIRS = 1 << 12
 
 # odd integers per divisor-sieve block, so a block spans 2 * _BLOCK integers:
 # enough rows to spread each numpy call per prime and block, while the eight
@@ -292,8 +289,8 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
     closed form: S_i(x // p_i) is ``large[(p_i - 1) / 2]`` less, for each
     earlier such prime p_j with p_i·p_j² <= x, the term
     ``small[x // (p_i·p_j)]`` - j, whose index is at most r and below p_j².
-    Those prime pairs are summed ``_PAIRS`` at a time, so memory stays
-    O(sqrt x).
+    Those prime pairs are summed one smaller prime p_j at a time, as one
+    slice of the p_i, so memory stays O(sqrt x).
     """
     r = math.isqrt(x)
     primes = _primes_upto(min(z, r))
@@ -329,26 +326,17 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
             runs = small[p * p : p * top].reshape(top - p, p)
             np.subtract(runs, buf[: top - p, None], out=runs)
     s = int(large[0])
-    if looped == len(primes):
-        return s, len(primes)
     del quot, buf  # the pair pass below needs neither, so its arrays take their place
-    # the primes past b, all odd, and their indices i among all the primes applied
+    # the primes past b, all odd; rest[j] has index looped + j among all the primes applied
     rest = np.array(primes[looped:], dtype=np.int64)
-    index = np.arange(looped, len(primes), dtype=np.int64)
-    s -= int(large[rest // 2].sum() - index.sum())
-    # rest[j] pairs with each rest[i], j < i < ends[j]: the p_i with p_i·p_j² <= x
+    s -= int(large[rest // 2].sum()) - sum(range(looped, len(primes)))
+    # rest[j] pairs with each rest[i], j < i < ends[j]: the p_i with p_i·p_j² <= x;
+    # ends never grows with j, so the p_j with a pair are a prefix of rest
     ends = np.searchsorted(rest, x // (rest * rest), side="right")
-    counts = np.maximum(ends - np.arange(1, len(rest) + 1), 0)
-    s -= int(counts @ index)
-    last = np.cumsum(counts)  # pairs of p_j end at pair number last[j]
-    first = last - counts
-    below = x // rest  # x // (p_i·p_j) = (x // p_j) // p_i
-    total = int(last[-1])
-    for start in range(0, total, _PAIRS):
-        pair = np.arange(start, min(start + _PAIRS, total))
-        j = np.searchsorted(last, pair, side="right")
-        i = pair - first[j] + j + 1
-        s += int(small[below[j] // rest[i]].sum())
+    paired = int(np.count_nonzero(ends > np.arange(1, len(rest) + 1)))
+    for j, (p, end) in enumerate(zip(rest[:paired].tolist(), ends[:paired].tolist())):
+        # x // (p_i·p_j) = (x // p_j) // p_i
+        s += int(small[x // p // rest[j + 1 : end]].sum()) - (end - j - 1) * (looped + j)
     return s, len(primes)
 
 
@@ -357,7 +345,8 @@ def rough_count(x: int, z: int) -> int:
 
     This is Legendre's phi(x, pi(z)) by ``_lucy``: prime 2 in closed form,
     Lucy's floor-quotient sieve over the odd k up to min(z, x^¼), then one
-    chunked pass over prime pairs for the primes in (x^¼, min(z, sqrt x)].
+    pass over prime pairs, a slice per smaller prime, for the primes in
+    (x^¼, min(z, sqrt x)].
     O(x^(3/4) / log x) time, and memory of about 2.5·sqrt x int64 entries.
     For z >= isqrt(x) every prime up to sqrt x has been applied, so S(x) =
     pi(x) and the count is 1 + pi(x) - pi(min(z, x)); z >= x leaves only 1
@@ -590,7 +579,7 @@ def _excess_tau_lift(x: int, threshold: float, start: int, tau_n: np.ndarray) ->
 
 
 def census_excess_tau(x: int) -> int:
-    """#{3 <= n <= x : tau(n) > g(x) ln(ln x) ln(x)}.
+    """#{3 <= n <= x : tau(n) > g(x) ln(ln x) ln(x)}, for 3 <= x <= ``CENSUS_SAFE_LIMIT``.
 
     tau of the odd n comes from ``_divisor_blocks``, the one tau sieve, and
     ``_excess_tau_lift`` lifts it to the even n, as ``run_chain_census`` does
@@ -598,6 +587,8 @@ def census_excess_tau(x: int) -> int:
     """
     if x < 3:
         raise ValueError(f"x must be >= 3, got {x}")
+    if x > CENSUS_SAFE_LIMIT:
+        raise UsageError(f"x={x} exceeds the census limit {CENSUS_SAFE_LIMIT}")
     threshold = _tau_threshold(x)
     return sum(
         _excess_tau_lift(x, threshold, start, tau_n) for start, _, tau_n, _, _ in _divisor_blocks(3, x + 1)

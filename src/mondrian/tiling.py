@@ -321,11 +321,13 @@ def exact_cover_tile(
     Each piece may be used in either orientation.  The result is a
     deterministic function of (n, pieces): the first tiling the kernel
     ``_cover`` finds, unverified.  More than ``node_budget`` nodes raise
-    ``BudgetExceededError``.
+    ``BudgetExceededError``; a negative budget is a ``ValueError``.
     """
     plist = _sorted_pieces(pieces)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     if len(set(plist)) != len(plist):
         raise ValueError("pieces must be pairwise incongruent")
     if any(r.h > n for r in plist):

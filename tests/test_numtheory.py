@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mondrian import numtheory
+from mondrian.errors import UsageError
 from mondrian.numtheory import (
     build_factor_table,
     census_excess_tau,
@@ -353,12 +354,11 @@ class TestRoughCount:
         for z in split_zs(x):
             assert rough_count(x, z) == lucy_rough_count(x, z), (x, z)
 
-    def test_pair_chunk_of_one(self, monkeypatch):
-        # (10**7, 3162) alone has 3,629 pairs of primes past 56
-        cases = [(10**6, 1000), (10**7, 3162), (2 * 10**5, 10**5)]
-        want = [lucy_rough_count(x, z) for x, z in cases]
-        monkeypatch.setattr(numtheory, "_PAIRS", 1)
-        assert [rough_count(x, z) for x, z in cases] == want
+    def test_pair_pass(self):
+        # (10**7, 3162) alone has 3,629 pairs of primes past 56; at (10**8, 101)
+        # the one prime past 10**2, 101, has no pair
+        for x, z in ((10**6, 1000), (10**7, 3162), (2 * 10**5, 10**5), (10**8, 101)):
+            assert rough_count(x, z) == lucy_rough_count(x, z), (x, z)
 
     def test_ten_thousand_against_trial_division(self):
         for z in (7, 50, 211):
@@ -418,6 +418,12 @@ class TestCensusExcessTau:
         expected = sum(1 for n in range(3, 11) if naive_tau(n) > _tau_threshold(10))
         assert expected == 8
         assert census_excess_tau(10) == 8
+
+    def test_census_limit(self, monkeypatch):
+        # rejected before the divisor sieve starts
+        monkeypatch.setattr(numtheory, "_primes_upto", None)
+        with pytest.raises(UsageError, match="exceeds the census limit"):
+            census_excess_tau(numtheory.CENSUS_SAFE_LIMIT + 1)
 
     def test_matches_direct_filter(self):
         for x in (50, 100, 500):

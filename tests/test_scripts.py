@@ -34,6 +34,14 @@ def test_out_of_domain_argument_is_a_usage_error(name, args, message):
     assert "Traceback" not in proc.stderr
 
 
+def test_usage_error_leaves_the_out_file_alone(tmp_path):
+    keep = tmp_path / "keep.csv"
+    keep.write_bytes(b"kept\n")
+    proc = run_script("census_scan.py", "--xs", "100", "10000000000000", "--out", str(keep))
+    assert proc.returncode == 2
+    assert keep.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("name, args, rows", [
     ("census_scan.py", ["--xs", "16"], 2),  # CSV header and one row
     ("defect_table.py", ["--from", "3", "--to", "3"], 2),  # table header and n = 3

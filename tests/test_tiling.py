@@ -239,6 +239,12 @@ class TestExactCoverTile:
         with pytest.raises(BudgetExceededError):
             exact_cover_tile(6, list(enumerate_piece_sets(6, 4, 9))[0], node_budget=1)
 
+    def test_negative_budget_raises(self):
+        # checked before the search, which a negative budget would never stop
+        pieces = list(enumerate_piece_sets(6, 4, 9))[0]
+        with pytest.raises(ValueError, match="node_budget"):
+            exact_cover_tile(6, pieces, node_budget=-1)
+
     def test_budget_at_every_node_count(self, kernel_calls):
         # a budget of k < T nodes stops at node k + 1; a budget of T finishes the search
         for n in range(3, 13):
