@@ -14,18 +14,21 @@ import time
 from mondrian.census import load_bfile
 from mondrian.cli import _at_least
 from mondrian.errors import BFileParseError, BudgetExceededError
-from mondrian.tiling import solve_m, verify_tiling
+from mondrian.tiling import SOLVE_SAFE_LIMIT, solve_m, verify_tiling
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--from", type=_at_least(3), default=3, dest="from_n")
-    parser.add_argument("--to", type=int, default=12, dest="to_n")
+    parser.add_argument("--to", type=int, default=12, dest="to_n",
+                        help=f"last n, at most {SOLVE_SAFE_LIMIT}")
     parser.add_argument("--budget", type=_at_least(1), default=10**9)
     parser.add_argument("--bfile", default=None)
     args = parser.parse_args()
     if args.to_n < args.from_n:
         parser.error(f"argument --to: must be >= --from {args.from_n}, got {args.to_n}")
+    if args.to_n > SOLVE_SAFE_LIMIT:
+        parser.error(f"argument --to: must be <= {SOLVE_SAFE_LIMIT}, got {args.to_n}")
 
     try:
         series = load_bfile(args.bfile) if args.bfile else None

@@ -7,7 +7,8 @@ that gives the censuses spf, tau(n), tau(n²) and the least witness bound of
 the even n = 2^a·m (``_excess_tau_lift``), and exact counting primitives: z-rough
 integers (``rough_count``) by a floor-quotient sieve over the O(sqrt x) values
 x // k, odd k only, up to min(z, x^¼) and a pass over prime pairs, one slice
-per smaller prime, for the primes past it, and the divisor summatory function.
+per smaller prime, for the primes past it, all read off the sieve's own table,
+and the divisor summatory function.
 ``FactorTable`` remains as a standalone spf table that no other function uses.
 All arithmetic is exact integer arithmetic; the only floats are the analytic
 reference quantities (thresholds, Mertens-type densities).
@@ -16,7 +17,7 @@ reference quantities (thresholds, Mertens-type densities).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -268,7 +269,7 @@ def is_rough(n: int, z: int) -> bool:
 
 
 def _lucy(x: int, z: int) -> tuple[int, int]:
-    """(S(x), k) after Lucy's floor-quotient sieve applies the k primes p <= min(z, isqrt x).
+    """(S(x), pi(min(z, isqrt x))) once Lucy's floor-quotient sieve applies every prime up to min(z, isqrt x).
 
     S(v) counts the m in [2, v] that are prime or have every prime factor
     above the last prime applied; it starts at v - 1, and applying the j-th
@@ -282,29 +283,34 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
     from ``small`` past it.  The three arrays hold about 2.5·sqrt x int64
     entries, against 4·sqrt x with every k.
 
-    The loop applies the primes up to min(z, b), b = isqrt(r), and prime 2
-    whenever 2 <= min(z, r), also for x < 16 where b < 2; after it
-    ``small[v]`` = pi(v) for every v <= r.  Each later prime p_i has p_i⁴ > x
-    (Lehmer's split at x^¼), so its term S_i(x // p_i) - i is read off in
-    closed form: S_i(x // p_i) is ``large[(p_i - 1) / 2]`` less, for each
-    earlier such prime p_j with p_i·p_j² <= x, the term
-    ``small[x // (p_i·p_j)]`` - j, whose index is at most r and below p_j².
-    Those prime pairs are summed one smaller prime p_j at a time, as one
-    slice of the p_i, so memory stays O(sqrt x).
+    The loop applies the primes up to min(z, b), b = max(2, isqrt r), so
+    prime 2 whenever 2 <= min(z, r), also for x < 16 where isqrt r < 2.  It
+    finds them in S itself: once the primes below an odd p are applied, S(v)
+    = pi(v) for v < p², so p is prime iff ``small[p]`` > ``small[p - 1]``,
+    and its index j is ``small[p - 1]``.  Once every prime up to b is
+    applied, ``small[v]`` = pi(v) for every v <= r, so the later primes are
+    the v in (b, min(z, r)] where ``small`` steps up; no second sieve runs.
+    Each later prime p_i has p_i⁴ > x (Lehmer's split at x^¼), so its term
+    S_i(x // p_i) - i is read off in closed form: S_i(x // p_i) is
+    ``large[(p_i - 1) / 2]`` less, for each earlier such prime p_j with
+    p_i·p_j² <= x, the term ``small[x // (p_i·p_j)]`` - j, whose index is at
+    most r and below p_j².  Those prime pairs are summed one smaller prime
+    p_j at a time, as one slice of the p_i, so memory stays O(sqrt x).
     """
     r = math.isqrt(x)
-    primes = _primes_upto(min(z, r))
-    if not primes:
+    last, b = min(z, r), max(2, math.isqrt(r))
+    if last < 2:
         return x - 1, 0
-    looped = max(1, bisect_right(primes, math.isqrt(r)))
     small = np.arange(1, r + 2, dtype=np.int64) // 2  # S(v) = (v + 1) // 2
     small[:2] = (-1, 0)  # S(v) = v - 1 below 2
     quot = np.arange(1, r + 1, 2, dtype=np.int64)
     np.floor_divide(x, quot, out=quot)  # quot[i] = x // (2i + 1) >= r >= 2, so S is (v + 1) // 2
     large = (quot + 1) // 2
     buf = np.empty_like(quot)  # scratch; each right-hand side is copied here first
-    for j in range(1, looped):
-        p = primes[j]
+    for p in range(3, min(z, b) + 1, 2):
+        j = int(small[p - 1])  # pi(p - 1): the primes below p are applied and p - 1 < p²
+        if small[p] == j:
+            continue  # p is composite
         # large[i] changes while x // k >= p², that is for i < end
         kmax = min(r, x // (p * p))
         end, mid = (kmax + 1) // 2, (min(kmax, r // p) + 1) // 2
@@ -327,9 +333,11 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
             np.subtract(runs, buf[: top - p, None], out=runs)
     s = int(large[0])
     del quot, buf  # the pair pass below needs neither, so its arrays take their place
-    # the primes past b, all odd; rest[j] has index looped + j among all the primes applied
-    rest = np.array(primes[looped:], dtype=np.int64)
-    s -= int(large[rest // 2].sum()) - sum(range(looped, len(primes)))
+    # rest: the primes in (b, min(z, r)], where small = pi steps up (none for z < b);
+    # rest[j] has index looped + j among all the primes applied
+    looped = int(small[b])
+    rest = np.flatnonzero(small[b + 1 : last + 1] != small[b:last]) + (b + 1)
+    s -= int(large[rest // 2].sum()) - sum(range(looped, looped + len(rest)))
     # rest[j] pairs with each rest[i], j < i < ends[j]: the p_i with p_i·p_j² <= x;
     # ends never grows with j, so the p_j with a pair are a prefix of rest
     ends = np.searchsorted(rest, x // (rest * rest), side="right")
@@ -337,7 +345,7 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
     for j, (p, end) in enumerate(zip(rest[:paired].tolist(), ends[:paired].tolist())):
         # x // (p_i·p_j) = (x // p_j) // p_i
         s += int(small[x // p // rest[j + 1 : end]].sum()) - (end - j - 1) * (looped + j)
-    return s, len(primes)
+    return s, int(small[last])
 
 
 def rough_count(x: int, z: int) -> int:
@@ -346,7 +354,8 @@ def rough_count(x: int, z: int) -> int:
     This is Legendre's phi(x, pi(z)) by ``_lucy``: prime 2 in closed form,
     Lucy's floor-quotient sieve over the odd k up to min(z, x^¼), then one
     pass over prime pairs, a slice per smaller prime, for the primes in
-    (x^¼, min(z, sqrt x)].
+    (x^¼, min(z, sqrt x)].  The sieve's table tells the primes apart, so
+    this is the only prime sieve it runs.
     O(x^(3/4) / log x) time, and memory of about 2.5·sqrt x int64 entries.
     For z >= isqrt(x) every prime up to sqrt x has been applied, so S(x) =
     pi(x) and the count is 1 + pi(x) - pi(min(z, x)); z >= x leaves only 1

@@ -6,11 +6,11 @@ solver finds the minimum defect by iterating candidate defects and running an
 exact-cover backtracker, the kernel ``_cover``, over candidate piece sets from
 the one enumerator ``_piece_sets``.  ``solve_m`` and ``check_perfect`` hand
 their sets to one driver, ``_first_tiling``, which spends the node budget and
-verifies what the kernel finds.  The board lives in a single Python integer
-that starts at the first empty cell, one bit per cell in row-major order from
-there on, so the full rows behind it cost nothing, "find the next empty cell"
-is a couple of bit operations, and the unused oriented pieces that can go
-there are the set bits of one more integer.
+verifies what the kernel finds, as ``exact_cover_tile`` does too.  The board
+lives in a single Python integer that starts at the first empty cell, one bit
+per cell in row-major order from there on, so the full rows behind it cost
+nothing, "find the next empty cell" is a couple of bit operations, and the
+unused oriented pieces that can go there are the set bits of one more integer.
 
 Key search facts the code relies on:
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import BudgetExceededError, InternalConsistencyError
+from .errors import BudgetExceededError, InternalConsistencyError, UsageError
 from .numtheory import witness_report
 
 __all__ = [
@@ -72,6 +72,10 @@ __all__ = [
 ]
 
 DEFAULT_NODE_BUDGET = 10**8
+
+# upper end of solve_m's domain: its area table and window scan cost O(n³) before
+# the first node whatever the budget, ≈0.5 s at this bound and 25 s at n = 500
+SOLVE_SAFE_LIMIT = 256
 
 
 @dataclass(frozen=True, order=True)
@@ -187,7 +191,8 @@ def _piece_sets(
 
     ``cands`` are the fitting rects with area in [lo, hi], largest area first,
     then short side, so each set comes out in ``_sorted_pieces`` order.  With
-    ``exact_spread`` only the sets holding both area hi and area lo are kept.
+    ``exact_spread`` only the sets holding both area hi and area lo are kept:
+    those whose first piece has area hi and whose last has area lo.
     """
     areas = [r.area for r in cands]
     suffix = [0] * (len(cands) + 1)
@@ -195,27 +200,25 @@ def _piece_sets(
         suffix[i] = suffix[i + 1] + areas[i]
     chosen: list[Rect] = []
 
-    def rec(start: int, remaining: int, has_hi: bool, has_lo: bool) -> Iterator[tuple[Rect, ...]]:
+    def rec(start: int, stop: int, remaining: int) -> Iterator[tuple[Rect, ...]]:
         if remaining == 0:
-            if has_hi and has_lo:
+            if not exact_spread or chosen[-1].area == lo:
                 yield tuple(chosen)
             return
-        if not has_lo and remaining < lo:
+        if remaining < lo:  # every candidate has area >= lo
             return
-        for j in range(start, len(cands)):
+        for j in range(start, stop):
             a = areas[j]
-            if not has_hi and a < hi:
-                return
             if a > remaining:
                 continue
             if suffix[j] < remaining:
                 return
             chosen.append(cands[j])
-            yield from rec(j + 1, remaining - a, has_hi or a == hi, has_lo or a == lo)
+            yield from rec(j + 1, len(cands), remaining - a)
             chosen.pop()
 
-    # without an exact spread both endpoint flags start out satisfied
-    yield from rec(0, n * n, not exact_spread, not exact_spread)
+    # with an exact spread the first piece is one of the leading candidates, of area hi
+    yield from rec(0, areas.count(hi) if exact_spread else len(cands), n * n)
 
 
 def _base_mask(n: int, width: int, height: int) -> int:
@@ -320,8 +323,9 @@ def exact_cover_tile(
 
     Each piece may be used in either orientation.  The result is a
     deterministic function of (n, pieces): the first tiling the kernel
-    ``_cover`` finds, unverified.  More than ``node_budget`` nodes raise
-    ``BudgetExceededError``; a negative budget is a ``ValueError``.
+    ``_cover`` finds, once ``verify_tiling`` has accepted it; a rejected one
+    raises ``InternalConsistencyError``.  More than ``node_budget`` nodes
+    raise ``BudgetExceededError``; a negative budget is a ``ValueError``.
     """
     plist = _sorted_pieces(pieces)
     if n < 1:
@@ -335,7 +339,8 @@ def exact_cover_tile(
     total = sum(r.area for r in plist)
     if total != n * n:
         raise ValueError(f"piece areas sum to {total}, expected {n * n}")
-    return _cover(n, plist, node_budget)[0]
+    found = _cover(n, plist, node_budget)[0]
+    return None if found is None else _verified(found)
 
 
 def _placement_mask(n: int, p: Placement) -> int:
@@ -393,15 +398,12 @@ def _first_tiling(
     """The first of ``psets`` that ``_cover`` tiles, verified, or None, and the node total.
 
     ``spent`` nodes were searched before this call, and the total returned
-    includes them.  A run that takes the total past ``budget`` raises
-    ``BudgetExceededError`` carrying the total, ``budget + 1``.
+    includes them.  Each kernel run gets what is left of ``budget``, so a run
+    that takes the total past it raises ``BudgetExceededError`` at a total of
+    exactly ``budget + 1``; the callers report that figure.
     """
     for pieces in psets:
-        try:
-            found, nodes = _cover(n, pieces, budget - spent)
-        except BudgetExceededError as err:
-            err.nodes += spent
-            raise
+        found, nodes = _cover(n, pieces, budget - spent)
         spent += nodes
         if found is not None:
             return _verified(found), spent
@@ -437,12 +439,15 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     Raises ``BudgetExceededError`` once the search needs more than
     ``node_budget`` nodes of ``_cover``.  The error carries the proven lower
     bound (the defect level being processed) and the trivial two-strip upper
-    bound n(n-2).
+    bound n(n-2).  An n past ``SOLVE_SAFE_LIMIT`` is a ``UsageError``, raised
+    before any table is built.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
     if node_budget < 1:
         raise ValueError(f"node_budget must be positive, got {node_budget}")
+    if n > SOLVE_SAFE_LIMIT:
+        raise UsageError(f"n={n} exceeds the solve_m domain limit {SOLVE_SAFE_LIMIT}")
     target = n * n
     by_area = [rects_with_area(a, n) if a else [] for a in range(target + 1)]
 
@@ -460,10 +465,10 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     for w in range(trivial_bound + 1):
         try:
             found, spent = _first_tiling(n, level(w), node_budget, spent)
-        except BudgetExceededError as err:
+        except BudgetExceededError:
             raise BudgetExceededError(
                 f"node budget {node_budget} exhausted while testing defect {w} for n={n}",
-                nodes=err.nodes,
+                nodes=node_budget + 1,
                 lower_bound=w,
                 upper_bound=trivial_bound,
             ) from None
@@ -499,10 +504,10 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
             found, spent = _first_tiling(
                 n, _piece_sets(n, rects, d, d, exact_spread=True), node_budget, spent
             )
-        except BudgetExceededError as err:
+        except BudgetExceededError:
             raise BudgetExceededError(
                 f"node budget {node_budget} exhausted at piece area {d} for n={n}",
-                nodes=err.nodes,
+                nodes=node_budget + 1,
                 unresolved=tuple(dd for dd, _ in fitting[i:]),
             ) from None
         if found is not None:

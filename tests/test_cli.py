@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import DATA_DIR
-from mondrian import cli, numtheory
+from mondrian import cli, numtheory, tiling
 from mondrian.cli import RunConfig, dispatch, main, parse_args
 from mondrian.tiling import tiling_from_json, verify_tiling
 
@@ -206,12 +206,15 @@ class TestDispatch:
              "error: x=1000000000001 exceeds the census limit 1000000000000\n"),
             (["chain", "--x", str(numtheory.CENSUS_SAFE_LIMIT + 1), "--format", "json"],
              "error: x=1000000000001 exceeds the census limit 1000000000000\n"),
+            (["solve", "--n", str(tiling.SOLVE_SAFE_LIMIT + 1)],
+             "error: n=257 exceeds the solve_m domain limit 256\n"),
         ],
         ids=["rough-small-x", "perfect-beyond-witness-limit", "oeis-outside-series", "oeis-empty",
-             "census-beyond-limit", "chain-beyond-limit"],
+             "census-beyond-limit", "chain-beyond-limit", "solve-beyond-limit"],
     )
     def test_input_out_of_domain_is_usage_error(self, capsys, monkeypatch, args, message):
         monkeypatch.setattr(numtheory, "_primes_upto", None)  # no sieve may start
+        monkeypatch.setattr(tiling, "rects_with_area", None)  # nor any piece table
         assert main(args) == 2
         assert capsys.readouterr() == ("", message)
 

@@ -360,6 +360,15 @@ class TestRoughCount:
         for x, z in ((10**6, 1000), (10**7, 3162), (2 * 10**5, 10**5), (10**8, 101)):
             assert rough_count(x, z) == lucy_rough_count(x, z), (x, z)
 
+    def test_one_sieve(self, monkeypatch):
+        # Lucy's table S says which numbers are prime, so no second sieve runs;
+        # at x = 10**8, b = isqrt(isqrt x) = 100 ends the loop and sqrt x = 10**4
+        monkeypatch.setattr(numtheory, "_primes_upto", None)
+        cases = [(10**9, 50), (10**9, 4852), (10**6, 1000), (10**8, 101), (10**8, 99),
+                 (10**8, 100), (10**8, 0), (10**8, 1), (10**8, 10**4 + 1), (10**6, 10**5)]
+        for x, z in cases:
+            assert rough_count(x, z) == lucy_rough_count(x, z), (x, z)
+
     def test_ten_thousand_against_trial_division(self):
         for z in (7, 50, 211):
             brute = 1 + sum(1 for n in range(2, 10**4 + 1) if naive_spf(n) > z)

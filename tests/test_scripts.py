@@ -26,6 +26,7 @@ def run_script(name, *args):
     ("census_scan.py", ["--xs", "1000", "1000000000001"],
      "argument --xs: must be <= 1000000000000, got 1000000000001"),
     ("defect_table.py", ["--from", "5", "--to", "3"], "argument --to: must be >= --from 5, got 3"),
+    ("defect_table.py", ["--to", "257"], "argument --to: must be <= 256, got 257"),
 ])
 def test_out_of_domain_argument_is_a_usage_error(name, args, message):
     proc = run_script(name, *args)

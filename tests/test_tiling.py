@@ -638,21 +638,29 @@ class TestCertificateJson:
 class TestCertificatesAreVerified:
     """A certificate the kernel returns must pass verify_tiling before anyone sees it."""
 
-    def test_solve_m(self, monkeypatch, capsys):
+    @pytest.fixture
+    def drops_a_placement(self, monkeypatch):
+        """The kernel returns each tiling it finds less its last placement."""
         cover = tiling._cover
 
-        def drops_a_placement(n, pieces, budget):
+        def drops(n, pieces, budget):
             found, nodes = cover(n, pieces, budget)
             if found is None:
                 return None, nodes
             return Tiling(found.n, found.placements[:-1], found.defect), nodes
 
-        monkeypatch.setattr(tiling, "_cover", drops_a_placement)
+        monkeypatch.setattr(tiling, "_cover", drops)
+
+    def test_solve_m(self, drops_a_placement, capsys):
         with pytest.raises(InternalConsistencyError):
             solve_m(5)
         for fmt in ("text", "json"):
             assert main(["solve", "--n", "5", "--format", fmt]) == 3
             assert capsys.readouterr().out == ""
+
+    def test_exact_cover_tile(self, drops_a_placement):
+        with pytest.raises(InternalConsistencyError):
+            exact_cover_tile(4, [Rect(1, 4), Rect(3, 4)])
 
     def test_check_perfect(self, monkeypatch, capsys):
         def claims_every_set(n, pieces, budget):
