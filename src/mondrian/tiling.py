@@ -4,13 +4,14 @@ A tiling is a set of pairwise incongruent integer-sided rectangles covering
 the square exactly; its defect is max piece area minus min piece area.  The
 solver finds the minimum defect by iterating candidate defects and running an
 exact-cover backtracker, the kernel ``_cover``, over candidate piece sets from
-the one enumerator ``_piece_sets``.  ``solve_m`` and ``check_perfect`` hand
-their sets to one driver, ``_first_tiling``, which spends the node budget and
-verifies what the kernel finds, as ``exact_cover_tile`` does too.  The board
-lives in a single Python integer that starts at the first empty cell, one bit
-per cell in row-major order from there on, so the full rows behind it cost
-nothing, "find the next empty cell" is a couple of bit operations, and the
-unused oriented pieces that can go there are the set bits of one more integer.
+the one enumerator ``_piece_sets``, one stream per candidate defect.
+``solve_m`` and ``check_perfect`` hand their sets to one driver,
+``_first_tiling``, which spends the node budget and verifies what the kernel
+finds, as ``exact_cover_tile`` does too.  The board lives in a single Python
+integer that starts at the first empty cell, one bit per cell in row-major
+order from there on, so the full rows behind it cost nothing, "find the next
+empty cell" is a couple of bit operations, and the unused oriented pieces that
+can go there are the set bits of one more integer.
 
 Key search facts the code relies on:
 
@@ -19,7 +20,10 @@ Key search facts the code relies on:
   so each tiling is generated exactly once.
 * The defect of a tiling equals the spread (max - min) of its piece-area
   multiset, so candidate defect w only ever needs piece sets whose area
-  spread is exactly w; smaller spreads were exhausted at earlier w.
+  spread is exactly w; smaller spreads were exhausted at earlier w.  The
+  first (largest) piece of such a set fixes its area range [a, a + w], so
+  with the rects sorted by descending area the sets come out as one stream,
+  grouped by first piece, each group searching only the rects of area >= a.
 * Reflecting a tiling in the main diagonal preserves validity, incongruence
   and defect, so the piece placed at cell (0, 0) may be restricted to
   width >= height without losing any achievable defect.
@@ -41,13 +45,14 @@ Key search facts the code relies on:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InternalConsistencyError, UsageError
 from .numtheory import witness_report
@@ -73,8 +78,10 @@ __all__ = [
 
 DEFAULT_NODE_BUDGET = 10**8
 
-# upper end of solve_m's domain: its area table and window scan cost O(n³) before
-# the first node whatever the budget, ≈0.5 s at this bound and 25 s at n = 500
+# upper end of solve_m's domain: the node budget does not count the enumeration of
+# defect levels that hold no piece set, so time passes before the first node whatever
+# the budget: ≈0.2 s at this bound (levels 0 and 1 hold no set), ≈26 s at n = 500
+# (levels 0–5 hold none)
 SOLVE_SAFE_LIMIT = 256
 
 
@@ -181,44 +188,54 @@ def enumerate_piece_sets(n: int, lo: int, hi: int) -> Iterator[tuple[Rect, ...]]
     if not 1 <= lo <= hi <= n * n:
         raise ValueError(f"need 1 <= lo <= hi <= n^2, got lo={lo}, hi={hi}, n={n}")
     cands = [r for area in range(hi, lo - 1, -1) for r in rects_with_area(area, n)]
-    yield from _piece_sets(n, cands, lo, hi, exact_spread=False)
+    yield from _piece_sets(n, cands, None)
 
 
 def _piece_sets(
-    n: int, cands: list[Rect], lo: int, hi: int, exact_spread: bool
+    n: int, cands: Sequence[Rect], spread: int | None
 ) -> Iterator[tuple[Rect, ...]]:
     """Every set of distinct ``cands`` with areas summing to n², in lexicographic order.
 
-    ``cands`` are the fitting rects with area in [lo, hi], largest area first,
-    then short side, so each set comes out in ``_sorted_pieces`` order.  With
-    ``exact_spread`` only the sets holding both area hi and area lo are kept:
-    those whose first piece has area hi and whose last has area lo.
+    ``cands`` are fitting rects in ``_sorted_pieces`` order, so each set comes
+    out in that order too, its first piece the largest.  With ``spread`` None
+    every set is kept, each first piece searching the candidates after it.
+    With ``spread`` w only the sets whose areas span exactly w are: a first
+    piece of area lo + w searches only the candidates after it of area >= lo
+    (they end where ``cands`` drops below lo), and a set must end in a piece
+    of area lo.  A first piece with no candidate of area lo is skipped.  The
+    sets of one first piece come out together, so a level is one stream
+    ordered by first piece, as ``solve_m`` and ``check_perfect`` read it.
     """
     areas = [r.area for r in cands]
     suffix = [0] * (len(cands) + 1)
     for i in range(len(cands) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + areas[i]
-    chosen: list[Rect] = []
 
-    def rec(start: int, stop: int, remaining: int) -> Iterator[tuple[Rect, ...]]:
+    def rec(start: int, stop: int, lo: int, remaining: int) -> Iterator[tuple[Rect, ...]]:
         if remaining == 0:
-            if not exact_spread or chosen[-1].area == lo:
+            if spread is None or chosen[-1].area == lo:
                 yield tuple(chosen)
             return
-        if remaining < lo:  # every candidate has area >= lo
+        if remaining < lo:  # every candidate before stop has area >= lo
             return
         for j in range(start, stop):
             a = areas[j]
             if a > remaining:
                 continue
-            if suffix[j] < remaining:
+            if suffix[j] - suffix[stop] < remaining:
                 return
             chosen.append(cands[j])
-            yield from rec(j + 1, len(cands), remaining - a)
+            yield from rec(j + 1, stop, lo, remaining - a)
             chosen.pop()
 
-    # with an exact spread the first piece is one of the leading candidates, of area hi
-    yield from rec(0, areas.count(hi) if exact_spread else len(cands), n * n)
+    for i, first in enumerate(cands):
+        lo = areas[-1] if spread is None else areas[i] - spread
+        stop = bisect.bisect_right(areas, -lo, key=operator.neg)  # the candidates of area >= lo
+        if areas[stop - 1] != lo:  # no piece of area lo (none at all once lo < 1): nothing to find
+            continue
+        chosen = [first]  # rec reads and restores this list
+        yield from rec(i + 1, stop, lo, n * n - areas[i])
+    del rec  # rec holds itself through its closure: break the cycle, so the lists go now
 
 
 def _base_mask(n: int, width: int, height: int) -> int:
@@ -427,20 +444,20 @@ def scale_tiling(t: Tiling, k: int) -> Tiling:
 def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling]:
     """Minimum defect over all tilings of the n x n square by >= 2 incongruent rects.
 
-    Iterates candidate defect w = 0, 1, 2, ... and, within each w, area
-    windows [a, a+w] with a descending; a window only enumerates piece sets
-    whose smallest and largest areas hit both endpoints, so every candidate
-    set is searched exactly once, at the w equal to its spread.  The first w
-    admitting a tiling is therefore the minimum.  Each level's sets go to
-    ``_first_tiling``, which runs the kernel ``_cover`` on them and checks a
-    certificate by ``verify_tiling`` first; a rejected one raises
+    Iterates candidate defect w = 0, 1, 2, ...; level w is the one stream
+    ``_piece_sets(n, rects, w)`` of the piece sets whose areas span exactly
+    w, drawn from every fitting rect but the n x n square itself.  So every
+    candidate set is searched exactly once, at the w equal to its spread,
+    and the first w admitting a tiling is the minimum.  Each level's sets go
+    to ``_first_tiling``, which runs the kernel ``_cover`` on them and checks
+    a certificate by ``verify_tiling`` first; a rejected one raises
     ``InternalConsistencyError``.
 
     Raises ``BudgetExceededError`` once the search needs more than
     ``node_budget`` nodes of ``_cover``.  The error carries the proven lower
     bound (the defect level being processed) and the trivial two-strip upper
     bound n(n-2).  An n past ``SOLVE_SAFE_LIMIT`` is a ``UsageError``, raised
-    before any table is built.
+    before any rect is built.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -448,23 +465,13 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
         raise ValueError(f"node_budget must be positive, got {node_budget}")
     if n > SOLVE_SAFE_LIMIT:
         raise UsageError(f"n={n} exceeds the solve_m domain limit {SOLVE_SAFE_LIMIT}")
-    target = n * n
-    by_area = [rects_with_area(a, n) if a else [] for a in range(target + 1)]
-
-    def level(w: int) -> Iterator[tuple[Rect, ...]]:
-        # a tiling of >= 2 pieces has its smallest area <= n²/2, so the untiled square never shows
-        for a in range(target // 2, 0, -1):
-            hi = a + w
-            if hi > target or not by_area[a] or not by_area[hi]:
-                continue
-            cands = [r for area in range(hi, a - 1, -1) for r in by_area[area]]
-            yield from _piece_sets(n, cands, a, hi, exact_spread=True)
-
+    # every fitting rect but n x n, which sorts first: alone it is the square, no tiling of >= 2
+    rects = _sorted_pieces(Rect(w, h) for h in range(1, n + 1) for w in range(1, h + 1))[1:]
     spent = 0
     trivial_bound = n * (n - 2)  # defect of the {1 x n, (n-1) x n} two-strip tiling
     for w in range(trivial_bound + 1):
         try:
-            found, spent = _first_tiling(n, level(w), node_budget, spent)
+            found, spent = _first_tiling(n, _piece_sets(n, rects, w), node_budget, spent)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"node budget {node_budget} exhausted while testing defect {w} for n={n}",
@@ -501,9 +508,7 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
     spent = 0
     for i, (d, rects) in enumerate(fitting):
         try:
-            found, spent = _first_tiling(
-                n, _piece_sets(n, rects, d, d, exact_spread=True), node_budget, spent
-            )
+            found, spent = _first_tiling(n, _piece_sets(n, rects, 0), node_budget, spent)
         except BudgetExceededError:
             raise BudgetExceededError(
                 f"node budget {node_budget} exhausted at piece area {d} for n={n}",

@@ -215,6 +215,7 @@ class TestDispatch:
     def test_input_out_of_domain_is_usage_error(self, capsys, monkeypatch, args, message):
         monkeypatch.setattr(numtheory, "_primes_upto", None)  # no sieve may start
         monkeypatch.setattr(tiling, "rects_with_area", None)  # nor any piece table
+        monkeypatch.setattr(tiling, "_sorted_pieces", None)  # nor solve_m's rect list
         assert main(args) == 2
         assert capsys.readouterr() == ("", message)
 

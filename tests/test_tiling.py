@@ -172,16 +172,13 @@ class TestEnumeratePieceSets:
 
     def test_exact_spread_is_the_filtered_plain_enumeration(self):
         for n in range(1, 7):
-            for lo in range(1, n * n + 1):
-                for hi in range(lo, min(lo + 2 * n, n * n) + 1):
-                    expected = [
-                        s
-                        for s in enumerate_piece_sets(n, lo, hi)
-                        if s[0].area == hi and s[-1].area == lo
-                    ]
-                    cands = [r for a in range(hi, lo - 1, -1) for r in rects_with_area(a, n)]
-                    got = list(tiling._piece_sets(n, cands, lo, hi, exact_spread=True))
-                    assert got == expected, (n, lo, hi)
+            cands = tiling._sorted_pieces(
+                Rect(w, h) for h in range(1, n + 1) for w in range(1, h + 1)
+            )
+            every = list(enumerate_piece_sets(n, 1, n * n))
+            for spread in range(n * n):
+                expected = [s for s in every if s[0].area - s[-1].area == spread]
+                assert list(tiling._piece_sets(n, cands, spread)) == expected, (n, spread)
 
     def test_bad_window(self):
         with pytest.raises(ValueError):
@@ -518,6 +515,18 @@ class TestSolveM:
     def test_domain(self):
         with pytest.raises(ValueError):
             solve_m(2)
+
+    def test_domain_limit_is_accepted(self):
+        # levels 0 and 1 hold no set at n = 256, and the first set of level 2 spends node 2
+        with pytest.raises(BudgetExceededError) as info:
+            solve_m(tiling.SOLVE_SAFE_LIMIT, node_budget=1)
+        assert (info.value.nodes, info.value.lower_bound) == (2, 2)
+
+    def test_no_per_area_table(self, monkeypatch, bfile_path):
+        # each defect level is one stream over the fitting rects; no area is looked up
+        monkeypatch.setattr(tiling, "rects_with_area", None)
+        known = load_bfile(bfile_path)
+        assert [solve_m(n)[0] for n in range(3, 13)] == [known[n] for n in range(3, 13)]
 
 
 class TestCheckPerfect:
