@@ -262,7 +262,21 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
     cell + k in row-major order, so bit 0 is always empty, a variant's mask
     goes on unshifted, and the filled cells it leaves at the front are
     shifted off.  The board is full at ``cell == n * n``.
+
+    Before any mask is built, the chain rule refutes a set at 0 nodes: in a
+    tiling, a line through a piece P parallel to one of its sides crosses a
+    chain of pieces spanning the square, each contributing one of its sides,
+    so both n - P.w and n - P.h must be sums of one side each of some of the
+    other pieces.  Bit t of ``sums`` is set when t <= n is such a sum.
     """
+    full = (1 << (n + 1)) - 1
+    for i, p in enumerate(pieces):
+        sums = 1
+        for j, r in enumerate(pieces):
+            if j != i:
+                sums = (sums | sums << r.w | sums << r.h) & full
+        if not (sums >> (n - p.w) & sums >> (n - p.h) & 1):
+            return None, 0
     masks = [0] * (2 * len(pieces))
     by_width = [0] * (n + 1)  # by_width[k] / by_height[k]: the variants of width / height exactly k
     by_height = [0] * (n + 1)

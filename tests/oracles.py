@@ -292,7 +292,25 @@ def naive_min_defect(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def seed_cover_search(n: int, pieces, corners: bool = False) -> tuple[Tiling | None, int]:
+def no_chain_spans(n: int, pieces) -> bool:
+    """Whether some piece P leaves n - P.w or n - P.h out of reach of the other pieces.
+
+    The reachable values are the sums <= n of one side each of some of the
+    pieces other than P, built up one piece at a time as a set.
+    """
+    pieces = list(pieces)
+    for i, p in enumerate(pieces):
+        reach = {0}
+        for r in pieces[:i] + pieces[i + 1 :]:
+            reach |= {t + side for t in reach for side in (r.w, r.h) if t + side <= n}
+        if n - p.w not in reach or n - p.h not in reach:
+            return True
+    return False
+
+
+def seed_cover_search(
+    n: int, pieces, corners: bool = False, chains: bool = False
+) -> tuple[Tiling | None, int]:
     """The first tiling the cover kernel of the first release finds, or None,
     and the number of pieces it placed on the way.
 
@@ -304,10 +322,16 @@ def seed_cover_search(n: int, pieces, corners: bool = False) -> tuple[Tiling | N
     before counting it, every placement of a piece sorted before the piece at
     (0, 0) that would touch another corner of the square; with that rule the
     kernel must return the same certificate for every piece set, and its node
-    count must equal the placements made here.  Without it the verdict must
-    still agree.
+    count must equal the placements made here.  With ``chains`` it first
+    returns (None, 0) for a set in which some piece P leaves n - P.w or
+    n - P.h out of reach of the other pieces: a line through P parallel to a
+    side crosses pieces spanning the square, each adding one of its sides.
+    The kernel must match both rules together exactly.  Without them the
+    verdict must still agree.
     """
     pieces = tuple(sorted(pieces, key=lambda r: (-r.area, r.w, r.h)))
+    if chains and no_chain_spans(n, pieces):
+        return None, 0
 
     def base_mask(width: int, height: int) -> int:
         row = (1 << width) - 1

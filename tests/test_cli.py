@@ -177,8 +177,8 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing on stdout
         assert captured.err == (
-            "budget exceeded: node budget 5 exhausted while testing defect 4 for n=8\n"
-            "proven lower bound: 4\n"
+            "budget exceeded: node budget 5 exhausted while testing defect 6 for n=8\n"
+            "proven lower bound: 6\n"
         )
 
     def test_missing_bfile_is_usage_error(self, capsys):

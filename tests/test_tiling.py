@@ -33,6 +33,7 @@ from oracles import (
     naive_min_defect,
     naive_tau,
     naive_tiles,
+    no_chain_spans,
     seed_cover_search,
 )
 
@@ -248,13 +249,26 @@ class TestExactCoverTile:
             solve_m(n)
             check_perfect(n)
         small = [call for call in kernel_calls if call[3] <= 300]
-        assert len(small) == 57
+        assert len(small) == 60  # of 65 runs; the 0-node ones are sets the chain rule refutes
         for n, pieces, found, total in small:
             for k in range(total):
                 with pytest.raises(BudgetExceededError) as err:
                     tiling._cover(n, pieces, k)
                 assert err.value.nodes == k + 1, (n, pieces, k)
             assert tiling._cover(n, pieces, total) == (found, total), (n, pieces)
+
+    def test_chain_rule_refutes_only_untileable_sets(self):
+        # every set of distinct fitting rects summing to n², for n <= 7: the kernel
+        # spends 0 nodes exactly where the oracle's chain rule refutes, and no such set tiles
+        refuted = 0
+        for n in range(1, 8):
+            for pieces in enumerate_piece_sets(n, 1, n * n):
+                found, nodes = tiling._cover(n, pieces, None)
+                assert (nodes == 0) == no_chain_spans(n, pieces), (n, pieces)
+                if nodes == 0:
+                    refuted += 1
+                    assert not naive_tiles(n, [(r.w, r.h) for r in pieces]), (n, pieces)
+        assert refuted == 4 + 12 + 60 + 212  # n = 4, 5, 6, 7; none at n <= 3
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -308,7 +322,7 @@ class TestKernelVerdicts:
         assert sent() == [[n, sides] for n, sides, _ in self.VERDICTS["solve_m"]]
         nodes = sum(check_perfect(n).nodes_searched for n in range(3, 201))
         assert sent() == [[n, sides] for n, sides, _ in self.VERDICTS["check_perfect"]]
-        assert nodes == 96_415
+        assert nodes == 47_892
 
 
 class TestComputedM:
@@ -338,25 +352,27 @@ class TestComputedM:
         want = next(e for e in self.RECORD["entries"] if e["n"] == 23)
         m, cert = solve_m(23)
         assert (m, json.loads(tiling_to_json(cert))) == (want["m"], want["certificate"])
-        assert sum(nodes for *_, nodes in kernel_calls) == want["nodes"] == 38_614
+        assert sum(nodes for *_, nodes in kernel_calls) == want["nodes"] == 7_846
 
 
 class TestAgainstSeedKernel:
     """The cover kernel agrees with the seed kernel on every set the solvers try.
 
-    With its corner rule the seed kernel must return the kernel's certificate
-    and node count.  Both visit pieces by descending area, the unrotated
+    With its corner and chain rules the seed kernel must return the kernel's
+    certificate and node count; a set the chain rule refutes costs 0 nodes.  Both visit pieces by descending area, the unrotated
     variant first, so a kernel that skips or reorders a choice changes the
     certificate, even where a symmetric twin keeps the verdict.  Its node
     count must equal the pieces the seed kernel placed: a node is a placement
     that fits and that the corner rule allows, never a misfit.  The plain seed
-    kernel, without the corner rule, must give the same verdict.
+    kernel, with neither rule, must give the same verdict on every set, the
+    refuted ones included.
     """
 
     def _assert_same_as_seed(self, seen):
-        assert seen
+        assert any(nodes for *_, nodes in seen)
         for n, pieces, found, nodes in seen:
-            assert (found, nodes) == seed_cover_search(n, pieces, corners=True), (n, pieces)
+            want = seed_cover_search(n, pieces, corners=True, chains=True)
+            assert (found, nodes) == want, (n, pieces)
             assert (found is None) == (seed_cover_search(n, pieces)[0] is None), (n, pieces)
 
     def test_solve_m(self, kernel_calls):
@@ -365,7 +381,8 @@ class TestAgainstSeedKernel:
         self._assert_same_as_seed(kernel_calls)
 
     def test_check_perfect(self, kernel_calls):
-        for n in range(3, 61):
+        # n = 84 is the first n whose check spends a node; the chain rule refutes every set before it
+        for n in range(3, 85):
             check_perfect(n)
         self._assert_same_as_seed(kernel_calls)
 
@@ -505,22 +522,25 @@ class TestSolveM:
         with pytest.raises(BudgetExceededError) as info:
             solve_m(8, node_budget=5)
         err = info.value
-        # levels w < 4 take at most 5 nodes in all, so the sixth falls at w = 4
-        assert (err.nodes, err.lower_bound, err.upper_bound) == (6, 4, 8 * 6)
+        # the chain rule refutes every set below the true M(8) = 6 at 0 nodes, and
+        # w = 6's first two sets too, so the sixth node falls in w = 6's third set
+        assert (err.nodes, err.lower_bound, err.upper_bound) == (6, 6, 8 * 6)
         with pytest.raises(BudgetExceededError) as info:
-            solve_m(8, node_budget=100)
-        # every level below the true M(8) = 6 refuted within the budget
-        assert (info.value.nodes, info.value.lower_bound) == (101, 6)
+            solve_m(8, node_budget=6)
+        # that set tiles at its seventh node, the search's last
+        assert (info.value.nodes, info.value.lower_bound) == (7, 6)
+        assert solve_m(8, node_budget=7)[0] == solve_m(8, node_budget=100)[0] == 6
 
     def test_domain(self):
         with pytest.raises(ValueError):
             solve_m(2)
 
     def test_domain_limit_is_accepted(self):
-        # levels 0 and 1 hold no set at n = 256, and the first set of level 2 spends node 2
+        # levels 0 and 1 hold no set at n = 256, the chain rule refutes every set of
+        # levels 2 to 5 at 0 nodes, and the first set of level 6 it lets through spends node 2
         with pytest.raises(BudgetExceededError) as info:
             solve_m(tiling.SOLVE_SAFE_LIMIT, node_budget=1)
-        assert (info.value.nodes, info.value.lower_bound) == (2, 2)
+        assert (info.value.nodes, info.value.lower_bound) == (2, 6)
 
     def test_no_per_area_table(self, monkeypatch, bfile_path):
         # each defect level is one stream over the fitting rects; no area is looked up
@@ -581,13 +601,14 @@ class TestCheckPerfect:
             assert check_perfect(n).verdict is not PerfectVerdict.PERFECT_FOUND
 
     def test_budget_error_lists_unresolved_areas(self):
-        # n=12 is the smallest n whose check actually reaches the cover search
+        # n = 84 is the smallest n whose check spends a node (the chain rule refutes every
+        # set before it at 0 nodes), and the one set of its first fitting witness spends node 2
         with pytest.raises(BudgetExceededError) as info:
-            check_perfect(12, node_budget=1)
-        assert (info.value.nodes, info.value.unresolved) == (2, (72,))
+            check_perfect(84, node_budget=1)
+        assert (info.value.nodes, info.value.unresolved) == (2, (1008, 1764, 2352, 3528))
 
     def test_nodes_accounted_when_search_runs(self):
-        out = check_perfect(12)
+        out = check_perfect(84)
         assert out.verdict is PerfectVerdict.EXHAUSTED
         assert out.nodes_searched > 0
 
