@@ -331,7 +331,7 @@ class TestComputedM:
     Each certificate must replay through ``verify_tiling`` at the recorded
     defect; that proves M(n) <= m.  The lower bound rests on the search that
     produced the entry: n = 23 is recomputed here, node total included, and
-    a CI step recomputes n = 21 and 22 and compares.
+    a CI step recomputes n = 21, 22 and 24 and compares.
     """
 
     RECORD = json.loads((Path(__file__).parent / "data" / "computed_m.json").read_text())
@@ -339,7 +339,7 @@ class TestComputedM:
     def test_certificates_replay(self, bfile_path):
         known = load_bfile(bfile_path)
         entries = self.RECORD["entries"]
-        assert [e["n"] for e in entries] == [21, 22, 23]
+        assert [e["n"] for e in entries] == [21, 22, 23, 24]
         for e in entries:
             assert e["n"] not in known
             cert = tiling_from_json(json.dumps(e["certificate"]))
@@ -359,9 +359,10 @@ class TestAgainstSeedKernel:
     """The cover kernel agrees with the seed kernel on every set the solvers try.
 
     With its corner and chain rules the seed kernel must return the kernel's
-    certificate and node count; a set the chain rule refutes costs 0 nodes.  Both visit pieces by descending area, the unrotated
-    variant first, so a kernel that skips or reorders a choice changes the
-    certificate, even where a symmetric twin keeps the verdict.  Its node
+    certificate and node count; a set the chain rule refutes costs 0 nodes.
+    Both visit pieces by descending area, the unrotated variant first, so a
+    kernel that skips or reorders a choice changes the certificate, even
+    where a symmetric twin keeps the verdict.  Its node
     count must equal the pieces the seed kernel placed: a node is a placement
     that fits and that the corner rule allows, never a misfit.  The plain seed
     kernel, with neither rule, must give the same verdict on every set, the
