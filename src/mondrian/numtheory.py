@@ -192,28 +192,26 @@ def _witnesses(n: int, factors: list[tuple[int, int]]) -> tuple[int, ...]:
     d is a witness iff tau(d) >= m for its co-divisor m = n²/d, and tau(d) <
     tau(n²) for proper d, so only 2 <= m < tau(n²) can qualify.  Taking p^k
     out of n² turns p's factor 2a + 1 of tau(n²) into 2a - k + 1.  The search
-    runs depth first over n's ascending primes; m grows and tau(n²/m) shrinks
-    along a branch, so a branch ends once m > tau(n²/m).
+    is one worklist, read while it grows, of entries (next prime index, m,
+    tau(n²/m)) from the root (0, 1, tau(n²)); each entry appends m·p^k for
+    each later prime p of n, in ascending order.  m grows and tau(n²/m)
+    shrinks as an entry is extended, so the extension stops once m >
+    tau(n²/m).  Every entry after the root is a witness's co-divisor.
     """
-    found = []
-
-    def walk(i: int, m: int, t: int) -> None:
+    work = [(0, 1, math.prod([2 * a + 1 for _, a in factors]))]  # (next prime index, m, tau(n²/m))
+    for i, m, t in work:  # the loop reads the entries it appends
         for p, a in factors[i:]:
             i += 1
             if m * p > t:
-                return  # every later prime is larger still
+                break  # every later prime is larger still
             mk, tk = m, t
             for f in range(2 * a, 0, -1):  # p's factor of tau(n²/mk) drops to f
                 mk *= p
                 tk = tk // (f + 1) * f
                 if mk > tk:
                     break
-                found.append(mk)
-                walk(i, mk, tk)
-
-    walk(0, 1, math.prod([2 * a + 1 for _, a in factors]))
-    n2 = n * n
-    return tuple(n2 // m for m in sorted(found, reverse=True))
+                work.append((i, mk, tk))
+    return tuple(sorted(n * n // m for _, m, _ in work[1:]))
 
 
 def _prime_bound(p, a, out=None):

@@ -11,7 +11,9 @@ finds, as ``exact_cover_tile`` does too.  The board lives in a single Python
 integer that starts at the first empty cell, one bit per cell in row-major
 order from there on, so the full rows behind it cost nothing, "find the next
 empty cell" is a couple of bit operations, and the unused oriented pieces that
-can go there are the set bits of one more integer.
+can go there are the set bits of one more integer.  The enumerator and the
+kernel are each one depth-first loop over an explicit trail, not a recursion,
+so a search its caller stops early leaves no reference cycle behind.
 
 Key search facts the code relies on:
 
@@ -85,7 +87,7 @@ DEFAULT_NODE_BUDGET = 10**8
 
 # upper end of solve_m's domain: the node budget counts neither the enumeration of
 # defect levels nor the sets the chain rule refutes at 0 nodes, so time passes before
-# the second node whatever the budget: 2–3 s at this bound (the rule refutes 6,878 sets
+# the second node whatever the budget: 1.4–2.5 s at this bound (the rule refutes 6,878 sets
 # first, at 0.11 s), ≈26 s at n = 500 before the chain rule (levels 0–5 hold no set)
 SOLVE_SAFE_LIMIT = 256
 
@@ -210,37 +212,41 @@ def _piece_sets(
     of area lo.  A first piece with no candidate of area lo is skipped.  The
     sets of one first piece come out together, so a level is one stream
     ordered by first piece, as ``solve_m`` and ``check_perfect`` read it.
+
+    Each first piece gets one depth-first loop: ``picked`` is the trail of
+    chosen candidate indices and ``j`` the next index to try.  A candidate
+    of area above what is left is skipped, the trail stops growing once what
+    is left is below lo or more than the candidates from j to ``stop`` can
+    sum to, and backtracking pops the last index and tries the one after it.
     """
     areas = [r.area for r in cands]
     suffix = [0] * (len(cands) + 1)
     for i in range(len(cands) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + areas[i]
-
-    def rec(start: int, stop: int, lo: int, remaining: int) -> Iterator[tuple[Rect, ...]]:
-        if remaining == 0:
-            if spread is None or chosen[-1].area == lo:
-                yield tuple(chosen)
-            return
-        if remaining < lo:  # every candidate before stop has area >= lo
-            return
-        for j in range(start, stop):
-            a = areas[j]
-            if a > remaining:
-                continue
-            if suffix[j] - suffix[stop] < remaining:
-                return
-            chosen.append(cands[j])
-            yield from rec(j + 1, stop, lo, remaining - a)
-            chosen.pop()
-
-    for i, first in enumerate(cands):
+    for i in range(len(cands)):
         lo = areas[-1] if spread is None else areas[i] - spread
         stop = bisect.bisect_right(areas, -lo, key=operator.neg)  # the candidates of area >= lo
         if areas[stop - 1] != lo:  # no piece of area lo (none at all once lo < 1): nothing to find
             continue
-        chosen = [first]  # rec reads and restores this list
-        yield from rec(i + 1, stop, lo, n * n - areas[i])
-    del rec  # rec holds itself through its closure: break the cycle, so the lists go now
+        picked, remaining, j = [i], n * n - areas[i], i + 1  # the trail, and the next index to try
+        while True:
+            if remaining == 0:
+                if spread is None or areas[picked[-1]] == lo:
+                    # a list, not a generator: tuple() of a generator allocates 10 slots and
+                    # shrinks them, so the freed sets fill the tuple free lists (≈1 MiB)
+                    yield tuple([cands[k] for k in picked])
+            elif remaining >= lo:  # every candidate before stop has area >= lo
+                while j < stop and areas[j] > remaining:
+                    j += 1
+                if j < stop and suffix[j] - suffix[stop] >= remaining:
+                    picked.append(j)
+                    remaining -= areas[j]
+                    j += 1
+                    continue
+            if len(picked) == 1:
+                break
+            j = picked.pop() + 1  # backtrack: the next index after the last one picked
+            remaining += areas[j - 1]
 
 
 def _base_mask(n: int, width: int, height: int) -> int:
@@ -284,7 +290,6 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
     masks = [0] * (2 * len(pieces))
     by_width = [0] * (n + 1)  # by_width[k] / by_height[k]: the variants of width / height exactly k
     by_height = [0] * (n + 1)
-    every = 0
     roots = 0  # variants with width >= height; the board is empty, so every one fits at cell 0
     for i, r in enumerate(pieces):
         shapes = [(r.w, r.h)] if r.w == r.h else [(r.w, r.h), (r.h, r.w)]
@@ -294,7 +299,6 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
             masks[v] = _base_mask(n, width, height)
             by_width[width] |= bit
             by_height[height] |= bit
-            every |= bit
             if width >= height:
                 roots |= bit
     # fitw[k] / fith[k]: the variants of width / height at most k
@@ -304,7 +308,7 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
     stop = 0 if budget is None else budget + 1  # nodes never reaches 0
     nodes = 0
     trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
-    occ, avail, cand, cell = 0, every, roots, 0
+    occ, avail, cand, cell = 0, fitw[n], roots, 0  # every piece fits, so fitw[n] is every variant
     while True:
         if not cand:
             if not trail:

@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -273,3 +274,34 @@ class TestSubprocessBehavior:
 def test_stdout_is_byte_identical_to_the_recording(capsys, args, stdout):
     assert main(args) == 0
     assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--n", "12", "--format", "json"],
+        ["solve", "--n", "12", "--budget", "3"],
+        ["perfect", "--n", "84", "--format", "json"],
+        ["perfect", "--n", "84", "--budget", "1"],
+        ["census", "--x", "10000", "--format", "csv"],
+        ["chain", "--x", "10000"],
+        ["rough", "--x", "1000000"],
+        pytest.param(
+            ["verify-oeis", "--bfile", str(DATA_DIR / "b276523.txt"), "--from", "3", "--to", "8"],
+            id="verify-oeis-3-8",
+        ),
+    ],
+    ids="-".join,
+)
+def test_no_command_leaves_cyclic_garbage(capsys, args):
+    # reference counting alone must free what a run builds: an early-closed search
+    # generator or a recursive closure would leave cycles for the collector
+    main(["solve", "--n", "3"])  # builds the cached parser; argparse leaves cycles doing so
+    gc.collect()
+    gc.disable()
+    try:
+        main(args)
+        capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -149,22 +149,30 @@ class TestEnumeratePieceSets:
             assert len(set(s)) == len(s)
 
     def test_matches_independent_subset_count(self):
-        # count subsets by brute force over the candidate list
+        # every window's exact ordered list, from subsets of the fitting rects by brute force
         from itertools import combinations
 
-        n, lo, hi = 4, 2, 8
-        cands = [
-            Rect(w, h)
-            for w in range(1, 5)
-            for h in range(w, 5)
-            if lo <= w * h <= hi
-        ]
-        expected = 0
-        for k in range(1, len(cands) + 1):
-            for combo in combinations(cands, k):
-                if sum(r.area for r in combo) == 16:
-                    expected += 1
-        assert sum(1 for _ in enumerate_piece_sets(4, 2, 8)) == expected
+        for n in range(1, 6):
+            cands = sorted(
+                (Rect(w, h) for h in range(1, n + 1) for w in range(1, h + 1)),
+                key=lambda r: (-r.area, r.w, r.h),
+            )
+            # index tuples of the subsets covering n²; none is a prefix of another,
+            # so their lexicographic order is the depth-first order
+            full = sorted(
+                combo
+                for k in range(1, len(cands) + 1)
+                for combo in combinations(range(len(cands)), k)
+                if sum(cands[i].area for i in combo) == n * n
+            )
+            for lo in range(1, n * n + 1):
+                for hi in range(lo, n * n + 1):
+                    expected = [
+                        tuple(cands[i] for i in combo)
+                        for combo in full
+                        if all(lo <= cands[i].area <= hi for i in combo)
+                    ]
+                    assert list(enumerate_piece_sets(n, lo, hi)) == expected, (n, lo, hi)
 
     def test_deterministic_order(self):
         first = list(enumerate_piece_sets(5, 2, 12))
