@@ -141,13 +141,13 @@ def run_chain_census(x: int) -> CensusRecord:
     if x > CENSUS_SAFE_LIMIT:
         raise UsageError(f"x={x} exceeds the census limit {CENSUS_SAFE_LIMIT}")
     z = compute_z(x)
-    threshold = _tau_threshold(x)
+    least = math.floor(_tau_threshold(x)) + 1  # tau is an integer: tau <= threshold iff tau < least
 
     count_p1 = count_p2 = count_p3 = count_rst = count_rough = count_excess = 0
     for start, spf, tau_n, tau_n2, need in _divisor_blocks(3, x + 1):
         p1, p2, p3 = _block_predicates(spf, tau_n, tau_n2, need)
         rough = spf > z  # a prime n keeps spf = n
-        rough_small = rough & (tau_n <= threshold)
+        rough_small = rough & (tau_n < least)
         broken = (rough_small & ~p3) | (p3 & ~p2) | (p2 & ~p1)
         if broken.any():
             raise InternalConsistencyError(
@@ -158,7 +158,7 @@ def run_chain_census(x: int) -> CensusRecord:
         count_p3 += int(np.count_nonzero(p3))
         count_rst += int(np.count_nonzero(rough_small))
         count_rough += int(np.count_nonzero(rough))
-        count_excess += _excess_tau_lift(x, threshold, start, tau_n)
+        count_excess += _excess_tau_lift(x, least, start, tau_n)
 
     if not count_rst <= count_p3 <= count_p2 <= count_p1:
         raise InternalConsistencyError(

@@ -564,18 +564,17 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
         yield start, spf, tau_n, tau_n2, need
 
 
-def _excess_tau_lift(x: int, threshold: float, start: int, tau_n: np.ndarray) -> int:
-    """#{n <= x : tau(n) > threshold} over the n = 2^a·m whose odd part m is a row of a block.
+def _excess_tau_lift(x: int, least: int, start: int, tau_n: np.ndarray) -> int:
+    """#{n <= x : tau(n) >= least} over the n = 2^a·m whose odd part m is a row of a block.
 
-    ``start`` and ``tau_n`` are a block of ``_divisor_blocks``.  tau(2^a·m) =
-    (a + 1)·tau(m), an integer, so it exceeds threshold iff it is at least
-    least = floor(threshold) + 1, that is iff tau(m) >= ceil(least / (a + 1)):
+    ``start`` and ``tau_n`` are a block of ``_divisor_blocks``, and ``least``
+    is floor(threshold) + 1, the least integer tau above the threshold.
+    tau(2^a·m) = (a + 1)·tau(m) reaches it iff tau(m) >= ceil(least / (a + 1)):
     one integer comparison for each a, over the rows m <= x >> a, a prefix of
-    the block.  The block at start 3 also takes m = 1, whose n = 2^a lie in
-    [3, x] for 2 <= a <= log2 x, so summed over the blocks of [3, x] this
-    counts every n in [3, x].
+    the block.  The block at start 3 also takes m = 1, whose n = 2^a
+    lie in [3, x] for 2 <= a <= log2 x, so summed over the blocks of [3, x]
+    this counts every n in [3, x].
     """
-    least = math.floor(threshold) + 1
     count = sum(a + 1 >= least for a in range(2, x.bit_length())) if start == 3 else 0
     a = 0
     while (top := x >> a) >= start:
@@ -596,7 +595,7 @@ def census_excess_tau(x: int) -> int:
         raise ValueError(f"x must be >= 3, got {x}")
     if x > CENSUS_SAFE_LIMIT:
         raise UsageError(f"x={x} exceeds the census limit {CENSUS_SAFE_LIMIT}")
-    threshold = _tau_threshold(x)
+    least = math.floor(_tau_threshold(x)) + 1  # tau is an integer: tau > threshold iff tau >= least
     return sum(
-        _excess_tau_lift(x, threshold, start, tau_n) for start, _, tau_n, _, _ in _divisor_blocks(3, x + 1)
+        _excess_tau_lift(x, least, start, tau_n) for start, _, tau_n, _, _ in _divisor_blocks(3, x + 1)
     )

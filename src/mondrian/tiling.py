@@ -5,13 +5,14 @@ the square exactly; its defect is max piece area minus min piece area.  The
 solver finds the minimum defect by iterating candidate defects and running an
 exact-cover backtracker, the kernel ``_cover``, over candidate piece sets from
 the one enumerator ``_piece_sets``, one stream per candidate defect.
-``solve_m`` and ``check_perfect`` hand their sets to one driver,
-``_first_tiling``, which spends the node budget and verifies what the kernel
-finds, as ``exact_cover_tile`` does too.  The board lives in a single Python
-integer that starts at the first empty cell, one bit per cell in row-major
-order from there on, so the full rows behind it cost nothing, "find the next
-empty cell" is a couple of bit operations, and the unused oriented pieces that
-can go there are the set bits of one more integer.  The enumerator and the
+``solve_m`` and ``check_perfect`` hand their streams, one per level, to one
+driver, ``_first_tiling``: the one loop over levels, which keeps the node
+total, stops at the level where the budget runs out and verifies what the
+kernel finds, as ``exact_cover_tile`` does too.  The board lives in a single
+Python integer that starts at the first empty cell, one bit per cell in
+row-major order from there on, so the full rows behind it cost nothing, "find
+the next empty cell" is a couple of bit operations, and the unused oriented
+pieces that can go there are the set bits of one more integer.  The enumerator and the
 kernel are each one depth-first loop over an explicit trail, not a recursion,
 so a search its caller stops early leaves no reference cycle behind.
 
@@ -87,8 +88,8 @@ DEFAULT_NODE_BUDGET = 10**8
 
 # upper end of solve_m's domain: the node budget counts neither the enumeration of
 # defect levels nor the sets the chain rule refutes at 0 nodes, so time passes before
-# the second node whatever the budget: 1.4–2.5 s at this bound (the rule refutes 6,878 sets
-# first, at 0.11 s), ≈26 s at n = 500 before the chain rule (levels 0–5 hold no set)
+# the second node whatever the budget: 1.3–1.5 s at this bound (the rule refutes 6,878 sets
+# first, at 0.11 s)
 SOLVE_SAFE_LIMIT = 256
 
 
@@ -432,21 +433,29 @@ def _verified(t: Tiling) -> Tiling:
 
 
 def _first_tiling(
-    n: int, psets: Iterable[tuple[Rect, ...]], budget: int, spent: int
-) -> tuple[Tiling | None, int]:
-    """The first of ``psets`` that ``_cover`` tiles, verified, or None, and the node total.
+    n: int, levels: Iterable[Iterable[tuple[Rect, ...]]], budget: int
+) -> tuple[int, Tiling | None, int]:
+    """Search ``levels`` in order for the first piece set ``_cover`` tiles.
 
-    ``spent`` nodes were searched before this call, and the total returned
-    includes them.  Each kernel run gets what is left of ``budget``, so a run
-    that takes the total past it raises ``BudgetExceededError`` at a total of
-    exactly ``budget + 1``; the callers report that figure.
+    Each level is a stream of piece sets.  Returns the index of the level
+    where the search stopped, the tiling (verified) or None, and the node
+    total.  Each kernel run gets what is left of ``budget``; a run that takes
+    the total past it stops the search at that run's level with None and a
+    total of exactly ``budget + 1``.  Once every level is exhausted the index
+    is the number of levels.
     """
-    for pieces in psets:
-        found, nodes = _cover(n, pieces, budget - spent)
-        spent += nodes
-        if found is not None:
-            return _verified(found), spent
-    return None, spent
+    spent = level = 0
+    for psets in levels:
+        for pieces in psets:
+            try:
+                found, nodes = _cover(n, pieces, budget - spent)
+            except BudgetExceededError:
+                return level, None, budget + 1
+            spent += nodes
+            if found is not None:
+                return level, _verified(found), spent
+        level += 1
+    return level, None, spent
 
 
 def scale_tiling(t: Tiling, k: int) -> Tiling:
@@ -470,16 +479,17 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     ``_piece_sets(n, rects, w)`` of the piece sets whose areas span exactly
     w, drawn from every fitting rect but the n x n square itself.  So every
     candidate set is searched exactly once, at the w equal to its spread,
-    and the first w admitting a tiling is the minimum.  Each level's sets go
-    to ``_first_tiling``, which runs the kernel ``_cover`` on them and checks
-    a certificate by ``verify_tiling`` first; a rejected one raises
-    ``InternalConsistencyError``.
+    and the first w admitting a tiling is the minimum.  The levels go, in
+    order of w, to ``_first_tiling``, which runs the kernel ``_cover`` on
+    their sets and checks a certificate by ``verify_tiling`` first; a
+    rejected one raises ``InternalConsistencyError``.  The index of the level
+    where it stops is w.
 
     Raises ``BudgetExceededError`` once the search needs more than
     ``node_budget`` nodes of ``_cover``.  The error carries the proven lower
-    bound (the defect level being processed) and the trivial two-strip upper
-    bound n(n-2).  An n past ``SOLVE_SAFE_LIMIT`` is a ``UsageError``, raised
-    before any rect is built.
+    bound (the level where the search stopped) and the trivial two-strip
+    upper bound n(n-2).  An n past ``SOLVE_SAFE_LIMIT`` is a ``UsageError``,
+    raised before any rect is built.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -489,21 +499,17 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
         raise UsageError(f"n={n} exceeds the solve_m domain limit {SOLVE_SAFE_LIMIT}")
     # every fitting rect but n x n, which sorts first: alone it is the square, no tiling of >= 2
     rects = _sorted_pieces(Rect(w, h) for h in range(1, n + 1) for w in range(1, h + 1))[1:]
-    spent = 0
     trivial_bound = n * (n - 2)  # defect of the {1 x n, (n-1) x n} two-strip tiling
-    for w in range(trivial_bound + 1):
-        try:
-            found, spent = _first_tiling(n, _piece_sets(n, rects, w), node_budget, spent)
-        except BudgetExceededError:
-            raise BudgetExceededError(
-                f"node budget {node_budget} exhausted while testing defect {w} for n={n}",
-                nodes=node_budget + 1,
-                lower_bound=w,
-                upper_bound=trivial_bound,
-            ) from None
-        if found is not None:
-            return w, found
-    raise AssertionError("unreachable: the two-strip tiling bounds the defect")
+    levels = (_piece_sets(n, rects, w) for w in range(trivial_bound + 1))
+    w, found, nodes = _first_tiling(n, levels, node_budget)
+    if found is None:  # the two-strip tiling bounds the defect, so only the budget stops short
+        raise BudgetExceededError(
+            f"node budget {node_budget} exhausted while testing defect {w} for n={n}",
+            nodes=nodes,
+            lower_bound=w,
+            upper_bound=trivial_bound,
+        )
+    return w, found
 
 
 def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectCheckOutcome:
@@ -512,11 +518,13 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
     If no proper divisor of n² satisfies d*tau(d) >= n², no such tiling can
     exist and the search is skipped entirely (FilterExcluded).  A witness d
     is searched only if it fits: the n²/d pieces must be distinct rects of
-    area d inside the square, which caps their count at ceil(tau(d)/2).  Every
-    set of them goes to ``_first_tiling``, which runs the kernel ``_cover``:
-    PerfectFound with a certificate that has passed ``verify_tiling``, or
-    Exhausted.  ``nodes_searched`` counts the nodes of ``_cover``, and more
-    than ``node_budget`` of them raise ``BudgetExceededError``.
+    area d inside the square, which caps their count at ceil(tau(d)/2).  The
+    sets of each fitting witness are one level of ``_first_tiling``, which
+    runs the kernel ``_cover`` on them: PerfectFound with a certificate that
+    has passed ``verify_tiling``, or Exhausted.  ``nodes_searched`` counts the
+    nodes of ``_cover``, and more than ``node_budget`` of them raise
+    ``BudgetExceededError``, whose ``unresolved`` lists the fitting areas from
+    the level where the search stopped on.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -527,19 +535,16 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
         return PerfectCheckOutcome(n, PerfectVerdict.FILTER_EXCLUDED, None, None, 0)
     n2 = n * n
     fitting = [(d, rects) for d in report.witnesses if len(rects := rects_with_area(d, n)) * d >= n2]
-    spent = 0
-    for i, (d, rects) in enumerate(fitting):
-        try:
-            found, spent = _first_tiling(n, _piece_sets(n, rects, 0), node_budget, spent)
-        except BudgetExceededError:
-            raise BudgetExceededError(
-                f"node budget {node_budget} exhausted at piece area {d} for n={n}",
-                nodes=node_budget + 1,
-                unresolved=tuple(dd for dd, _ in fitting[i:]),
-            ) from None
-        if found is not None:
-            return PerfectCheckOutcome(n, PerfectVerdict.PERFECT_FOUND, report.witness, found, spent)
-    return PerfectCheckOutcome(n, PerfectVerdict.EXHAUSTED, report.witness, None, spent)
+    levels = (_piece_sets(n, rects, 0) for _, rects in fitting)
+    i, found, nodes = _first_tiling(n, levels, node_budget)
+    if nodes > node_budget:
+        raise BudgetExceededError(
+            f"node budget {node_budget} exhausted at piece area {fitting[i][0]} for n={n}",
+            nodes=nodes,
+            unresolved=tuple(d for d, _ in fitting[i:]),
+        )
+    verdict = PerfectVerdict.EXHAUSTED if found is None else PerfectVerdict.PERFECT_FOUND
+    return PerfectCheckOutcome(n, verdict, report.witness, found, nodes)
 
 
 def tiling_to_json(t: Tiling) -> str:

@@ -182,6 +182,16 @@ class TestDispatch:
             "proven lower bound: 6\n"
         )
 
+    def test_perfect_budget_exit(self, capsys):
+        rc = main(["perfect", "--n", "84", "--budget", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "budget exceeded: node budget 1 exhausted at piece area 1008 for n=84\n"
+            "unresolved piece areas: [1008, 1764, 2352, 3528]\n"
+        )
+
     def test_missing_bfile_is_usage_error(self, capsys):
         rc = main(["verify-oeis", "--bfile", "/nonexistent", "--from", "3", "--to", "5"])
         assert rc == 2

@@ -639,6 +639,52 @@ class TestCheckPerfect:
             assert calls == [n], n
 
 
+class TestBudgetStops:
+    """A budget of k nodes stops both solvers at node k + 1, in the level that holds it.
+
+    The budgets tried are those where node k + 1 opens or closes a kernel run,
+    so a level index one off at a run or level boundary shows.  k = 0 is left
+    out: a budget must be positive.
+    """
+
+    @staticmethod
+    def _stops(kernel_calls, level_of):
+        """The budgets k with the level of the run holding node k + 1, and the node total."""
+        stops, total = {}, 0
+        for _, pieces, _, nodes in kernel_calls:
+            for node in (total + 1, total + nodes) if nodes else ():
+                if node > 1:
+                    stops[node - 1] = level_of(pieces)
+            total += nodes
+        return sorted(stops.items()), total
+
+    def test_solve_m(self, kernel_calls):
+        for n in range(3, 13):
+            kernel_calls.clear()
+            want = solve_m(n)
+            stops, total = self._stops(kernel_calls, lambda p: p[0].area - p[-1].area)
+            assert stops, n
+            for k, w in stops:
+                with pytest.raises(BudgetExceededError) as info:
+                    solve_m(n, node_budget=k)
+                assert (info.value.nodes, info.value.lower_bound) == (k + 1, w), (n, k)
+            assert solve_m(n, node_budget=total) == want, n
+
+    def test_check_perfect(self, kernel_calls):
+        for n in (84, 120, 168):
+            kernel_calls.clear()
+            want = check_perfect(n)
+            areas = list(dict.fromkeys(pieces[0].area for _, pieces, _, _ in kernel_calls))
+            stops, total = self._stops(kernel_calls, lambda p: p[0].area)
+            assert stops and total == want.nodes_searched, n
+            for k, d in stops:
+                with pytest.raises(BudgetExceededError) as info:
+                    check_perfect(n, node_budget=k)
+                unresolved = tuple(areas[areas.index(d):])
+                assert (info.value.nodes, info.value.unresolved) == (k + 1, unresolved), (n, k)
+            assert check_perfect(n, node_budget=total) == want, n
+
+
 class TestCertificateJson:
     def test_round_trip_tiling(self):
         _, cert = solve_m(5)
