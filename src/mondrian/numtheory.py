@@ -309,26 +309,24 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
         j = int(small[p - 1])  # pi(p - 1): the primes below p are applied and p - 1 < p²
         if small[p] == j:
             continue  # p is composite
-        # large[i] changes while x // k >= p², that is for i < end
-        kmax = min(r, x // (p * p))
-        end, mid = (kmax + 1) // 2, (min(kmax, r // p) + 1) // 2
+        # p <= b gives p² <= r <= x // k for every odd k <= r: every large[i] changes, and top >= p
+        top = r // p
+        mid = (top + 1) // 2
         # kp <= r: S(x // kp) is large[i·p + (p - 1) / 2]
         np.subtract(large[p // 2 : p // 2 + p * mid : p], j, out=buf[:mid])
         np.subtract(large[:mid], buf[:mid], out=large[:mid])
         # kp > r: x // kp <= r, read from small
-        tail = buf[: end - mid]
-        np.floor_divide(quot[mid:end], p, out=tail)
+        tail = buf[: len(large) - mid]
+        np.floor_divide(quot[mid:], p, out=tail)
         # take reads each index before it writes that slot, so tail can be both
         np.take(small, tail, out=tail, mode="clip")
         np.subtract(tail, j, out=tail)
-        np.subtract(large[mid:end], tail, out=large[mid:end])
+        np.subtract(large[mid:], tail, out=large[mid:])
         # p² <= v <= r: v // p = w for the p values v in [wp, wp + p)
-        top = r // p
-        if top >= p:
-            small[p * top :] -= small[top] - j  # the last, possibly partial, run first
-            np.subtract(small[p:top], j, out=buf[: top - p])
-            runs = small[p * p : p * top].reshape(top - p, p)
-            np.subtract(runs, buf[: top - p, None], out=runs)
+        small[p * top :] -= small[top] - j  # the last, possibly partial, run first
+        np.subtract(small[p:top], j, out=buf[: top - p])
+        runs = small[p * p : p * top].reshape(top - p, p)
+        np.subtract(runs, buf[: top - p, None], out=runs)
     s = int(large[0])
     del quot, buf  # the pair pass below needs neither, so its arrays take their place
     # rest: the primes in (b, min(z, r)], where small = pi steps up (none for z < b);

@@ -5,10 +5,12 @@ the square exactly; its defect is max piece area minus min piece area.  The
 solver finds the minimum defect by iterating candidate defects and running an
 exact-cover backtracker, the kernel ``_cover``, over candidate piece sets from
 the one enumerator ``_piece_sets``, one stream per candidate defect.
-``solve_m`` and ``check_perfect`` hand their streams, one per level, to one
-driver, ``_first_tiling``: the one loop over levels, which keeps the node
-total, stops at the level where the budget runs out and verifies what the
-kernel finds, as ``exact_cover_tile`` does too.  The board lives in a single
+``solve_m``, ``check_perfect`` and ``exact_cover_tile`` hand their streams,
+one per level, to one driver, ``_first_tiling``: the one loop over levels and
+the kernel's only caller, which keeps the node total, stops at the level where
+the budget runs out and verifies what the kernel finds.  The kernel is a pure
+function of its set and an integer budget; it never raises, so a budget stop
+comes back through it like any other run.  The board lives in a single
 Python integer that starts at the first empty cell, one bit per cell in
 row-major order from there on, so the full rows behind it cost nothing, "find
 the next empty cell" is a couple of bit operations, and the unused oriented
@@ -259,7 +261,7 @@ def _sorted_pieces(pieces: Iterable[Rect]) -> tuple[Rect, ...]:
     return tuple(sorted(pieces, key=lambda r: (-r.area, r.w, r.h)))
 
 
-def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling | None, int]:
+def _cover(n: int, pieces: tuple[Rect, ...], budget: int) -> tuple[Tiling | None, int]:
     """The first tiling of the n x n square by ``pieces``, each used once, or None; and the nodes.
 
     ``pieces`` come in ``_sorted_pieces`` order.  Variant v = 2*i + rotated is
@@ -268,7 +270,7 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
     area, the unrotated variant first.  A node is one placement attempt on a
     variant that fits the run and the remaining height and that the corner
     rule allows (a piece sorted before the one at cell 0 never covers another
-    corner); more than ``budget`` of them raise ``BudgetExceededError``.
+    corner).  The run stops at node ``budget + 1``, returning (None, budget + 1).
 
     The board int ``occ`` starts at the first empty cell ``cell``: bit k is
     cell + k in row-major order, so bit 0 is always empty, a variant's mask
@@ -306,7 +308,6 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
     fitw = list(itertools.accumulate(by_width, operator.or_))
     fith = list(itertools.accumulate(by_height, operator.or_))
     size = n * n
-    stop = 0 if budget is None else budget + 1  # nodes never reaches 0
     nodes = 0
     trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
     occ, avail, cand, cell = 0, fitw[n], roots, 0  # every piece fits, so fitw[n] is every variant
@@ -320,8 +321,8 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int | None) -> tuple[Tiling
         cand ^= low
         v = low.bit_length() - 1
         nodes += 1
-        if nodes == stop:
-            raise BudgetExceededError(f"node budget {budget} exhausted", nodes=nodes)
+        if nodes > budget:
+            return None, nodes
         trail.append((occ, avail, cand, cell, v))
         if not cell:  # first: the variants of the pieces sorted before the one at cell 0
             first = (1 << (v & ~1)) - 1
@@ -357,11 +358,12 @@ def _certificate(n: int, pieces: tuple[Rect, ...], trail: list[tuple[int, ...]])
 
 
 def exact_cover_tile(
-    n: int, pieces: Iterable[Rect], *, node_budget: int | None = None
+    n: int, pieces: Iterable[Rect], *, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> Tiling | None:
     """Tile the n x n square using each piece exactly once, or None.
 
-    Each piece may be used in either orientation.  The result is a
+    Each piece may be used in either orientation.  ``_first_tiling`` searches
+    the set as a single level holding only it, so the result is a
     deterministic function of (n, pieces): the first tiling the kernel
     ``_cover`` finds, once ``verify_tiling`` has accepted it; a rejected one
     raises ``InternalConsistencyError``.  More than ``node_budget`` nodes
@@ -370,7 +372,7 @@ def exact_cover_tile(
     plist = _sorted_pieces(pieces)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if node_budget is not None and node_budget < 0:
+    if node_budget < 0:
         raise ValueError(f"node_budget must be >= 0, got {node_budget}")
     if len(set(plist)) != len(plist):
         raise ValueError("pieces must be pairwise incongruent")
@@ -379,8 +381,10 @@ def exact_cover_tile(
     total = sum(r.area for r in plist)
     if total != n * n:
         raise ValueError(f"piece areas sum to {total}, expected {n * n}")
-    found = _cover(n, plist, node_budget)[0]
-    return None if found is None else _verified(found)
+    _, found, nodes = _first_tiling(n, [[plist]], node_budget)
+    if nodes > node_budget:
+        raise BudgetExceededError(f"node budget {node_budget} exhausted", nodes=nodes)
+    return found
 
 
 def _placement_mask(n: int, p: Placement) -> int:
@@ -422,38 +426,34 @@ def verify_tiling(t: Tiling) -> VerificationReport:
     return VerificationReport(True, defect, min_area, max_area, None)
 
 
-def _verified(t: Tiling) -> Tiling:
-    """``t`` unchanged if ``verify_tiling`` accepts it; a rejected certificate is a kernel bug."""
-    report = verify_tiling(t)
-    if not report.valid:
-        raise InternalConsistencyError(
-            f"search returned a certificate for n={t.n} that fails verification ({report.reason})"
-        )
-    return t
-
-
 def _first_tiling(
     n: int, levels: Iterable[Iterable[tuple[Rect, ...]]], budget: int
 ) -> tuple[int, Tiling | None, int]:
     """Search ``levels`` in order for the first piece set ``_cover`` tiles.
 
     Each level is a stream of piece sets.  Returns the index of the level
-    where the search stopped, the tiling (verified) or None, and the node
-    total.  Each kernel run gets what is left of ``budget``; a run that takes
-    the total past it stops the search at that run's level with None and a
-    total of exactly ``budget + 1``.  Once every level is exhausted the index
-    is the number of levels.
+    where the search stopped, the tiling or None, and the node total.  Each
+    kernel run gets what is left of ``budget``; a run that takes the total
+    past it stops the search at that run's level with None and a total of
+    exactly ``budget + 1``.  A tiling is returned only once ``verify_tiling``
+    accepts it; a rejected certificate is a kernel bug and raises
+    ``InternalConsistencyError``.  Once every level is exhausted the index is
+    the number of levels.
     """
     spent = level = 0
     for psets in levels:
         for pieces in psets:
-            try:
-                found, nodes = _cover(n, pieces, budget - spent)
-            except BudgetExceededError:
-                return level, None, budget + 1
+            found, nodes = _cover(n, pieces, budget - spent)
             spent += nodes
+            if spent > budget:
+                return level, None, spent
             if found is not None:
-                return level, _verified(found), spent
+                report = verify_tiling(found)
+                if not report.valid:
+                    raise InternalConsistencyError(
+                        f"search returned a certificate for n={n} that fails verification ({report.reason})"
+                    )
+                return level, found, spent
         level += 1
     return level, None, spent
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mondrian import numtheory
+from mondrian import census, numtheory
 from mondrian.census import (
     CENSUS_CSV_HEADER,
     EULER_GAMMA,
@@ -21,7 +21,8 @@ from mondrian.census import (
     run_chain_census,
     theorem_report,
 )
-from mondrian.errors import BFileParseError
+from mondrian.cli import main
+from mondrian.errors import BFileParseError, InternalConsistencyError
 from mondrian.numtheory import (
     _factorize,
     _tau_threshold,
@@ -87,6 +88,24 @@ class TestRunChainCensus:
             assert (
                 r.count_rough_small_tau <= r.count_p3 <= r.count_p2 <= r.count_p1
             )
+
+    def test_per_n_chain_check(self, monkeypatch, capsys):
+        # a p2 that drops the prime 2003, in the second block of 997 odd n, breaks p3 ⊆ p2 there
+        monkeypatch.setattr(numtheory, "_BLOCK", 997)
+        chain_tests = census._chain_tests
+
+        def drops_2003(spf, tau_n, tau_n2):
+            p2, p3 = chain_tests(spf, tau_n, tau_n2)
+            return p2 & (spf != 2003), p3
+
+        monkeypatch.setattr(census, "_chain_tests", drops_2003)
+        with pytest.raises(InternalConsistencyError, match="^predicate chain violated at n=2003$"):
+            run_chain_census(10000)
+        assert main(["census", "--x", "10000"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "internal consistency error: predicate chain violated at n=2003\n",
+        )
 
     @pytest.mark.parametrize("x, block", [
         *(pytest.param(x, numtheory._BLOCK, id=str(x)) for x in (30, 200, 1000, 2500)),

@@ -1,4 +1,5 @@
 import functools
+import inspect
 import json
 import math
 from pathlib import Path
@@ -44,7 +45,11 @@ def R(a, b):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record (n, pieces, found, nodes) for every run of the cover kernel ``tiling._cover``."""
+    """Record (n, pieces, found, nodes) for every run of the cover kernel ``tiling._cover``.
+
+    The kernel returns a budget stop like any other run, as (None, budget + 1),
+    so the record holds every run, the stopped one included.
+    """
     seen = []
     cover = tiling._cover
 
@@ -242,8 +247,14 @@ class TestExactCoverTile:
         assert a == b
 
     def test_budget_raises(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="^node budget 1 exhausted$") as err:
             exact_cover_tile(6, list(enumerate_piece_sets(6, 4, 9))[0], node_budget=1)
+        assert err.value.nodes == 2
+
+    def test_budget_defaults_to_the_solvers(self):
+        # the three public searches share one finite default
+        default = inspect.signature(exact_cover_tile).parameters["node_budget"].default
+        assert default == tiling.DEFAULT_NODE_BUDGET
 
     def test_negative_budget_raises(self):
         # checked before the search, which a negative budget would never stop
@@ -260,9 +271,7 @@ class TestExactCoverTile:
         assert len(small) == 60  # of 65 runs; the 0-node ones are sets the chain rule refutes
         for n, pieces, found, total in small:
             for k in range(total):
-                with pytest.raises(BudgetExceededError) as err:
-                    tiling._cover(n, pieces, k)
-                assert err.value.nodes == k + 1, (n, pieces, k)
+                assert tiling._cover(n, pieces, k) == (None, k + 1), (n, pieces, k)
             assert tiling._cover(n, pieces, total) == (found, total), (n, pieces)
 
     def test_chain_rule_refutes_only_untileable_sets(self):
@@ -271,7 +280,7 @@ class TestExactCoverTile:
         refuted = 0
         for n in range(1, 8):
             for pieces in enumerate_piece_sets(n, 1, n * n):
-                found, nodes = tiling._cover(n, pieces, None)
+                found, nodes = tiling._cover(n, pieces, tiling.DEFAULT_NODE_BUDGET)
                 assert (nodes == 0) == no_chain_spans(n, pieces), (n, pieces)
                 if nodes == 0:
                     refuted += 1
@@ -448,6 +457,10 @@ class TestVerifyTiling:
     def test_empty_tiling_is_gap(self):
         rep = verify_tiling(Tiling(2, (), 0))
         assert not rep.valid and rep.reason == "gap"
+
+    def test_empty_board_is_out_of_bounds(self):
+        rep = verify_tiling(Tiling(0, (), 0))
+        assert not rep.valid and rep.reason == "out-of-bounds"
 
 
 class TestScaleTiling:
@@ -644,7 +657,8 @@ class TestBudgetStops:
 
     The budgets tried are those where node k + 1 opens or closes a kernel run,
     so a level index one off at a run or level boundary shows.  k = 0 is left
-    out: a budget must be positive.
+    out: a budget must be positive.  The stopped run reaches the kernel's
+    callers like any other, so the runs of a stopped search sum to k + 1.
     """
 
     @staticmethod
@@ -665,9 +679,11 @@ class TestBudgetStops:
             stops, total = self._stops(kernel_calls, lambda p: p[0].area - p[-1].area)
             assert stops, n
             for k, w in stops:
+                kernel_calls.clear()
                 with pytest.raises(BudgetExceededError) as info:
                     solve_m(n, node_budget=k)
                 assert (info.value.nodes, info.value.lower_bound) == (k + 1, w), (n, k)
+                assert sum(nodes for *_, nodes in kernel_calls) == k + 1, (n, k)
             assert solve_m(n, node_budget=total) == want, n
 
     def test_check_perfect(self, kernel_calls):
@@ -678,10 +694,12 @@ class TestBudgetStops:
             stops, total = self._stops(kernel_calls, lambda p: p[0].area)
             assert stops and total == want.nodes_searched, n
             for k, d in stops:
+                kernel_calls.clear()
                 with pytest.raises(BudgetExceededError) as info:
                     check_perfect(n, node_budget=k)
                 unresolved = tuple(areas[areas.index(d):])
                 assert (info.value.nodes, info.value.unresolved) == (k + 1, unresolved), (n, k)
+                assert sum(nodes for *_, nodes in kernel_calls) == k + 1, (n, k)
             assert check_perfect(n, node_budget=total) == want, n
 
 
