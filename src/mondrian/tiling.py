@@ -8,10 +8,13 @@ the one enumerator ``_piece_sets``, one stream per candidate defect.
 ``solve_m``, ``check_perfect`` and ``exact_cover_tile`` hand their streams,
 one per level, to one driver, ``_first_tiling``: the one loop over levels and
 the kernel's only caller, which keeps the node total, stops at the level where
-the budget runs out and verifies what the kernel finds.  The kernel is a pure
-function of its set and an integer budget; it never raises, so a budget stop
-comes back through it like any other run.  The board lives in a single
-Python integer that starts at the first empty cell, one bit per cell in
+the budget runs out and verifies what the kernel finds.  The kernel is a
+generator that pauses once the nodes its driver allowed are spent, so the
+driver runs a level's searches round-robin, a few dozen nodes a turn, and the
+first tiling any of them completes ends the level: a level needs only one
+tiling, and a hard set that fails no longer holds up an easy one behind it.
+The kernel never raises, so a budget stop is the driver's.  The board lives
+in a single Python integer that starts at the first empty cell, one bit per cell in
 row-major order from there on, so the full rows behind it cost nothing, "find
 the next empty cell" is a couple of bit operations, and the unused oriented
 pieces that can go there are the set bits of one more integer.  The enumerator and the
@@ -56,13 +59,14 @@ Key search facts the code relies on:
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Generator, Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, InternalConsistencyError, UsageError
 from .numtheory import witness_report
@@ -93,6 +97,10 @@ DEFAULT_NODE_BUDGET = 10**8
 # the second node whatever the budget: 1.3–1.5 s at this bound (the rule refutes 6,878 sets
 # first, at 0.11 s)
 SOLVE_SAFE_LIMIT = 256
+
+# nodes per turn of a level's round-robin in _first_tiling: small next to the searches
+# that fail, large enough that switching searches costs little next to a turn
+_QUANTUM = 64
 
 
 @dataclass(frozen=True, order=True)
@@ -261,8 +269,15 @@ def _sorted_pieces(pieces: Iterable[Rect]) -> tuple[Rect, ...]:
     return tuple(sorted(pieces, key=lambda r: (-r.area, r.w, r.h)))
 
 
-def _cover(n: int, pieces: tuple[Rect, ...], budget: int) -> tuple[Tiling | None, int]:
-    """The first tiling of the n x n square by ``pieces``, each used once, or None; and the nodes.
+def _cover(n: int, pieces: tuple[Rect, ...]) -> Generator[int, int, tuple[Tiling | None, int]]:
+    """Search for the first tiling of the n x n square by ``pieces``, each used once.
+
+    A generator that ends with (the tiling or None, the nodes).  ``next``
+    starts it: a set the chain rule refutes ends there at 0 nodes, any other
+    pauses before its first node.  Each ``send(k)`` is a turn that allows k
+    more nodes; the search pauses just before a node once they are spent,
+    yielding the nodes spent so far.  So a run's nodes, certificate and order
+    are the same however its turns are cut.
 
     ``pieces`` come in ``_sorted_pieces`` order.  Variant v = 2*i + rotated is
     piece i in one orientation (a square has only v = 2*i), so visiting the
@@ -270,7 +285,7 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int) -> tuple[Tiling | None
     area, the unrotated variant first.  A node is one placement attempt on a
     variant that fits the run and the remaining height and that the corner
     rule allows (a piece sorted before the one at cell 0 never covers another
-    corner).  The run stops at node ``budget + 1``, returning (None, budget + 1).
+    corner).
 
     The board int ``occ`` starts at the first empty cell ``cell``: bit k is
     cell + k in row-major order, so bit 0 is always empty, a variant's mask
@@ -308,7 +323,7 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int) -> tuple[Tiling | None
     fitw = list(itertools.accumulate(by_width, operator.or_))
     fith = list(itertools.accumulate(by_height, operator.or_))
     size = n * n
-    nodes = 0
+    nodes = stop = 0  # stop: the nodes this search may spend before it pauses
     trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
     occ, avail, cand, cell = 0, fitw[n], roots, 0  # every piece fits, so fitw[n] is every variant
     while True:
@@ -321,8 +336,8 @@ def _cover(n: int, pieces: tuple[Rect, ...], budget: int) -> tuple[Tiling | None
         cand ^= low
         v = low.bit_length() - 1
         nodes += 1
-        if nodes > budget:
-            return None, nodes
+        while nodes > stop:  # pause before this node until an allowance covers it
+            stop += yield stop
         trail.append((occ, avail, cand, cell, v))
         if not cell:  # first: the variants of the pieces sorted before the one at cell 0
             first = (1 << (v & ~1)) - 1
@@ -367,13 +382,14 @@ def exact_cover_tile(
     deterministic function of (n, pieces): the first tiling the kernel
     ``_cover`` finds, once ``verify_tiling`` has accepted it; a rejected one
     raises ``InternalConsistencyError``.  More than ``node_budget`` nodes
-    raise ``BudgetExceededError``; a negative budget is a ``ValueError``.
+    raise ``BudgetExceededError``; a budget below 1 is a ``ValueError``, as
+    in ``solve_m`` and ``check_perfect``.
     """
     plist = _sorted_pieces(pieces)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if node_budget < 0:
-        raise ValueError(f"node_budget must be >= 0, got {node_budget}")
+    if node_budget < 1:
+        raise ValueError(f"node_budget must be positive, got {node_budget}")
     if len(set(plist)) != len(plist):
         raise ValueError("pieces must be pairwise incongruent")
     if any(r.h > n for r in plist):
@@ -431,29 +447,56 @@ def _first_tiling(
 ) -> tuple[int, Tiling | None, int]:
     """Search ``levels`` in order for the first piece set ``_cover`` tiles.
 
-    Each level is a stream of piece sets.  Returns the index of the level
-    where the search stopped, the tiling or None, and the node total.  Each
-    kernel run gets what is left of ``budget``; a run that takes the total
-    past it stops the search at that run's level with None and a total of
-    exactly ``budget + 1``.  A tiling is returned only once ``verify_tiling``
-    accepts it; a rejected certificate is a kernel bug and raises
-    ``InternalConsistencyError``.  Once every level is exhausted the index is
-    the number of levels.
+    Each level is a stream of piece sets, searched round-robin.  Its sets are
+    admitted in stream order, each with its first turn of ``_QUANTUM`` nodes
+    on admission (a set the chain rule refutes ends there, at 0 nodes), and
+    once the stream runs dry the live searches take turns in admission order.
+    The first tiling any search completes ends the search.  A level without
+    one is exhausted before the next begins, so it costs the nodes its sets
+    take one by one; a level whose fastest tiling set needs t nodes costs at
+    most (its live sets) x (t + ``_QUANTUM``), where one set after another
+    would pay for every failing set ahead of that one in full.
+
+    Returns the index of the level where the search stopped, the tiling or
+    None, and the node total.  Each turn gets at most what is left of
+    ``budget``; once none is left, the first search that needs a node stops
+    everything at its level with None and a total of exactly ``budget + 1``.
+    A tiling is returned only once ``verify_tiling`` accepts it; a rejected
+    certificate is a kernel bug and raises ``InternalConsistencyError``.
+    Once every level is exhausted the index is the number of levels.
     """
     spent = level = 0
     for psets in levels:
-        for pieces in psets:
-            found, nodes = _cover(n, pieces, budget - spent)
-            spent += nodes
-            if spent > budget:
-                return level, None, spent
-            if found is not None:
+        stream = iter(psets)
+        live = collections.deque()  # (search, the nodes it has spent), in turn order
+        while True:
+            pieces = next(stream, None)
+            if pieces is not None:  # admit the next set; its first turn comes at once
+                search, used = _cover(n, pieces), 0
+                if next(search, None) is None:  # the chain rule refuted it, at 0 nodes
+                    continue
+            elif live:
+                search, used = live.popleft()
+            else:
+                break
+            allowance = min(_QUANTUM, budget - spent)
+            try:
+                search.send(allowance)
+            except StopIteration as end:
+                found, nodes = end.value
+                spent += nodes - used
+                if found is None:
+                    continue
                 report = verify_tiling(found)
                 if not report.valid:
                     raise InternalConsistencyError(
                         f"search returned a certificate for n={n} that fails verification ({report.reason})"
                     )
                 return level, found, spent
+            spent += allowance
+            if spent == budget:  # it needs a node and none is left
+                return level, None, budget + 1
+            live.append((search, used + allowance))
         level += 1
     return level, None, spent
 
@@ -481,9 +524,12 @@ def solve_m(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[int, Tiling
     candidate set is searched exactly once, at the w equal to its spread,
     and the first w admitting a tiling is the minimum.  The levels go, in
     order of w, to ``_first_tiling``, which runs the kernel ``_cover`` on
-    their sets and checks a certificate by ``verify_tiling`` first; a
-    rejected one raises ``InternalConsistencyError``.  The index of the level
-    where it stops is w.
+    each level's sets round-robin and checks a certificate by
+    ``verify_tiling`` first; a rejected one raises
+    ``InternalConsistencyError``.  The index of the level where it stops is
+    w, and the certificate is the first tiling the round-robin of level w
+    completes.  The levels below w are exhausted whatever the order, so
+    only level w's cost depends on it.
 
     Raises ``BudgetExceededError`` once the search needs more than
     ``node_budget`` nodes of ``_cover``.  The error carries the proven lower
@@ -520,11 +566,12 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
     is searched only if it fits: the n²/d pieces must be distinct rects of
     area d inside the square, which caps their count at ceil(tau(d)/2).  The
     sets of each fitting witness are one level of ``_first_tiling``, which
-    runs the kernel ``_cover`` on them: PerfectFound with a certificate that
-    has passed ``verify_tiling``, or Exhausted.  ``nodes_searched`` counts the
-    nodes of ``_cover``, and more than ``node_budget`` of them raise
-    ``BudgetExceededError``, whose ``unresolved`` lists the fitting areas from
-    the level where the search stopped on.
+    runs the kernel ``_cover`` on them round-robin: PerfectFound with a
+    certificate that has passed ``verify_tiling``, or Exhausted.
+    ``nodes_searched`` counts the nodes of ``_cover``; an exhausted level
+    costs the same nodes in any order.  More than ``node_budget`` of them
+    raise ``BudgetExceededError``, whose ``unresolved`` lists the fitting
+    areas from the level where the search stopped on.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")

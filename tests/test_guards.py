@@ -3,7 +3,7 @@
 import pytest
 
 from mondrian.numtheory import census_excess_tau, mertens_product, rough_count
-from mondrian.tiling import check_perfect, rects_with_area, solve_m
+from mondrian.tiling import Rect, check_perfect, exact_cover_tile, rects_with_area, solve_m
 
 
 @pytest.mark.parametrize(
@@ -17,6 +17,7 @@ from mondrian.tiling import check_perfect, rects_with_area, solve_m
         pytest.param(lambda: solve_m(6, node_budget=0), id="solve_m-budget"),
         pytest.param(lambda: check_perfect(2), id="check_perfect-n"),
         pytest.param(lambda: check_perfect(6, node_budget=0), id="check_perfect-budget"),
+        pytest.param(lambda: exact_cover_tile(4, [Rect(1, 4), Rect(3, 4)], node_budget=0), id="exact_cover_tile-budget"),
     ],
 )
 def test_bad_input_raises_value_error(call):

@@ -1,8 +1,10 @@
 import functools
 import inspect
+import itertools
 import json
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -43,20 +45,59 @@ def R(a, b):
     return canonical_rect(a, b)
 
 
+COVER = tiling._cover
+
+
+class Turn(NamedTuple):
+    """One step of a kernel search: ``nodes`` spent in it, and ``end`` its
+    (tiling or None, nodes) once the search has ended, else None (it paused)."""
+
+    n: int
+    pieces: tuple
+    nodes: int
+    end: tuple | None
+
+
+def run(n, pieces):
+    """The kernel's search of one set, run to its end in one turn: (tiling or None, nodes)."""
+    search = COVER(n, pieces)
+    try:
+        next(search)
+        search.send(tiling.DEFAULT_NODE_BUDGET)
+    except StopIteration as end:
+        return end.value
+    raise AssertionError(f"no end within the default budget: {n}, {pieces}")
+
+
+def admitted(turns):
+    """The (n, pieces) of every search, in the order the driver admitted them."""
+    return list(dict.fromkeys((t.n, t.pieces) for t in turns))
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Record (n, pieces, found, nodes) for every run of the cover kernel ``tiling._cover``.
+    """Record a ``Turn`` for every step of every search of the cover kernel ``tiling._cover``.
 
-    The kernel returns a budget stop like any other run, as (None, budget + 1),
-    so the record holds every run, the stopped one included.
+    A search's first step is its admission, at 0 nodes, where a set the chain
+    rule refutes ends; each later step is a turn.  A search stopped by the
+    budget or left live when another finds a tiling ends with a paused turn,
+    so the nodes of all turns sum to the driver's total, or to the budget
+    when the budget stopped it.
     """
     seen = []
-    cover = tiling._cover
 
-    def recording(n, pieces, budget):
-        found, nodes = cover(n, pieces, budget)
-        seen.append((n, pieces, found, nodes))
-        return found, nodes
+    def recording(n, pieces):
+        search = COVER(n, pieces)
+        allowance, spent = None, 0
+        while True:
+            try:
+                now = search.send(allowance)
+            except StopIteration as end:
+                seen.append(Turn(n, pieces, end.value[1] - spent, end.value))
+                return end.value
+            seen.append(Turn(n, pieces, now - spent, None))
+            spent = now
+            allowance = yield now
 
     monkeypatch.setattr(tiling, "_cover", recording)
     return seen
@@ -263,16 +304,39 @@ class TestExactCoverTile:
             exact_cover_tile(6, pieces, node_budget=-1)
 
     def test_budget_at_every_node_count(self, kernel_calls):
-        # a budget of k < T nodes stops at node k + 1; a budget of T finishes the search
+        # a turn of k < T nodes pauses before node k + 1, and the search goes on from there
         for n in range(3, 13):
             solve_m(n)
             check_perfect(n)
-        small = [call for call in kernel_calls if call[3] <= 300]
-        assert len(small) == 60  # of 65 runs; the 0-node ones are sets the chain rule refutes
+        runs = [(n, pieces, *run(n, pieces)) for n, pieces in admitted(kernel_calls)]
+        small = [r for r in runs if r[3] <= 300]
+        assert len(small) == 66  # of 71 sets; the 0-node ones are sets the chain rule refutes
         for n, pieces, found, total in small:
             for k in range(total):
-                assert tiling._cover(n, pieces, k) == (None, k + 1), (n, pieces, k)
-            assert tiling._cover(n, pieces, total) == (found, total), (n, pieces)
+                search = tiling._cover(n, pieces)
+                assert next(search) == 0
+                assert search.send(k) == k, (n, pieces, k)
+                assert search.send(total - 1 - k) == total - 1, (n, pieces, k)
+                with pytest.raises(StopIteration) as end:
+                    search.send(1)
+                assert end.value.value == (found, total), (n, pieces, k)
+
+    def test_resumed_search_ends_as_one_run(self):
+        # turns of 1, 2, 3, ... nodes cut each run at other nodes than one turn does;
+        # every set the solvers hand the kernel ends with the same certificate and nodes
+        for n, sides, _ in TestKernelVerdicts.VERDICTS["solve_m"] + TestKernelVerdicts.VERDICTS["check_perfect"]:
+            pieces = tuple(Rect(w, h) for w, h in sides)
+            want = run(n, pieces)
+            search = tiling._cover(n, pieces)
+            spent = 0
+            try:
+                assert next(search) == 0
+                for allowance in itertools.count(1):
+                    assert search.send(allowance) == spent + allowance, (n, sides)
+                    spent += allowance
+            except StopIteration as end:
+                assert end.value == want, (n, sides)
+                assert spent < want[1] <= spent + allowance or want[1] == 0, (n, sides)
 
     def test_chain_rule_refutes_only_untileable_sets(self):
         # every set of distinct fitting rects summing to n², for n <= 7: the kernel
@@ -280,7 +344,7 @@ class TestExactCoverTile:
         refuted = 0
         for n in range(1, 8):
             for pieces in enumerate_piece_sets(n, 1, n * n):
-                found, nodes = tiling._cover(n, pieces, tiling.DEFAULT_NODE_BUDGET)
+                found, nodes = run(n, pieces)
                 assert (nodes == 0) == no_chain_spans(n, pieces), (n, pieces)
                 if nodes == 0:
                     refuted += 1
@@ -330,7 +394,7 @@ class TestKernelVerdicts:
     def test_solvers_hand_the_kernel_exactly_these_sets(self, kernel_calls):
         # a driver that drops, adds or reorders a set changes these lists
         def sent():
-            got = [[n, [[r.w, r.h] for r in pieces]] for n, pieces, _, _ in kernel_calls]
+            got = [[n, [[r.w, r.h] for r in pieces]] for n, pieces in admitted(kernel_calls)]
             kernel_calls.clear()
             return got
 
@@ -348,7 +412,7 @@ class TestComputedM:
     Each certificate must replay through ``verify_tiling`` at the recorded
     defect; that proves M(n) <= m.  The lower bound rests on the search that
     produced the entry: n = 23 is recomputed here, node total included, and
-    a CI step recomputes n = 21, 22 and 24 and compares.
+    CI steps recompute n = 21, 22, 24 and 25 and compare.
     """
 
     RECORD = json.loads((Path(__file__).parent / "data" / "computed_m.json").read_text())
@@ -356,7 +420,7 @@ class TestComputedM:
     def test_certificates_replay(self, bfile_path):
         known = load_bfile(bfile_path)
         entries = self.RECORD["entries"]
-        assert [e["n"] for e in entries] == [21, 22, 23, 24]
+        assert [e["n"] for e in entries] == [21, 22, 23, 24, 25]
         for e in entries:
             assert e["n"] not in known
             cert = tiling_from_json(json.dumps(e["certificate"]))
@@ -369,29 +433,39 @@ class TestComputedM:
         want = next(e for e in self.RECORD["entries"] if e["n"] == 23)
         m, cert = solve_m(23)
         assert (m, json.loads(tiling_to_json(cert))) == (want["m"], want["certificate"])
-        assert sum(nodes for *_, nodes in kernel_calls) == want["nodes"] == 7_846
+        assert sum(t.nodes for t in kernel_calls) == want["nodes"] == 6_637
 
 
 class TestAgainstSeedKernel:
-    """The cover kernel agrees with the seed kernel on every set the solvers try.
+    """The cover kernel agrees with the seed kernel on every set the solvers admit.
 
-    With its corner and chain rules the seed kernel must return the kernel's
-    certificate and node count; a set the chain rule refutes costs 0 nodes.
-    Both visit pieces by descending area, the unrotated variant first, so a
-    kernel that skips or reorders a choice changes the certificate, even
-    where a symmetric twin keeps the verdict.  Its node
-    count must equal the pieces the seed kernel placed: a node is a placement
-    that fits and that the corner rule allows, never a misfit.  The plain seed
-    kernel, with neither rule, must give the same verdict on every set, the
-    refuted ones included.
+    Each admitted set is run to its end.  With its corner and chain rules the
+    seed kernel must return the kernel's certificate and node count; a set
+    the chain rule refutes costs 0 nodes.  Both visit pieces by descending
+    area, the unrotated variant first, so a kernel that skips or reorders a
+    choice changes the certificate, even where a symmetric twin keeps the
+    verdict.  Its node count must equal the pieces the seed kernel placed: a
+    node is a placement that fits and that the corner rule allows, never a
+    misfit.  The plain seed kernel, with neither rule, must give the same
+    verdict on every set, the refuted ones included.  Inside the solver, a
+    search that ended must have ended with that pair, its turns summing to
+    its nodes, and one left live must have spent fewer.
     """
 
     def _assert_same_as_seed(self, seen):
-        assert any(nodes for *_, nodes in seen)
-        for n, pieces, found, nodes in seen:
+        assert any(t.nodes for t in seen)
+        searches = {}  # the turns of each search, in admission order
+        for t in seen:
+            searches.setdefault((t.n, t.pieces), []).append(t)
+        for (n, pieces), turns in searches.items():
             want = seed_cover_search(n, pieces, corners=True, chains=True)
-            assert (found, nodes) == want, (n, pieces)
-            assert (found is None) == (seed_cover_search(n, pieces)[0] is None), (n, pieces)
+            assert run(n, pieces) == want, (n, pieces)
+            assert (want[0] is None) == (seed_cover_search(n, pieces)[0] is None), (n, pieces)
+            spent = sum(t.nodes for t in turns)
+            if turns[-1].end is None:
+                assert spent < want[1], (n, pieces)
+            else:
+                assert turns[-1].end == want and spent == want[1], (n, pieces)
 
     def test_solve_m(self, kernel_calls):
         for n in range(3, 15):
@@ -540,6 +614,14 @@ class TestSolveM:
             if witness_report(n).p1:
                 assert solve_m(n)[0] > 0
 
+    def test_round_robin_node_total(self, kernel_calls):
+        # levels 0..7 hold no tiling and cost 447 nodes in any order; level 8's 17 live
+        # sets take turns, and the 13th tiles at its 380th node, so the level costs
+        # 5,951 nodes where one set after another spent 36,128
+        assert solve_m(16)[0] == 8
+        below = sum(t.nodes for t in kernel_calls if t.pieces[0].area - t.pieces[-1].area < 8)
+        assert (below, sum(t.nodes for t in kernel_calls)) == (447, 6_398)
+
     def test_budget_error_carries_bounds(self):
         with pytest.raises(BudgetExceededError) as info:
             solve_m(8, node_budget=5)
@@ -597,7 +679,7 @@ class TestCheckPerfect:
             ]
             kernel_calls.clear()
             assert check_perfect(n).verdict is not PerfectVerdict.PERFECT_FOUND
-            yield n, expected, [pieces for _, pieces, _, _ in kernel_calls]
+            yield n, expected, [pieces for _, pieces in admitted(kernel_calls)]
 
     def test_candidate_identities(self, kernel_calls):
         # each fitting witness d gets every set of s = n²/d of its fitting rects,
@@ -655,21 +737,21 @@ class TestCheckPerfect:
 class TestBudgetStops:
     """A budget of k nodes stops both solvers at node k + 1, in the level that holds it.
 
-    The budgets tried are those where node k + 1 opens or closes a kernel run,
-    so a level index one off at a run or level boundary shows.  k = 0 is left
-    out: a budget must be positive.  The stopped run reaches the kernel's
-    callers like any other, so the runs of a stopped search sum to k + 1.
+    The budgets tried are those where node k + 1 opens or closes a turn, so a
+    level index one off at a turn, run or level boundary shows.  k = 0 is left
+    out: a budget must be positive.  The search that needs node k + 1 pauses
+    before it, so the turns of a stopped search sum to exactly k.
     """
 
     @staticmethod
     def _stops(kernel_calls, level_of):
-        """The budgets k with the level of the run holding node k + 1, and the node total."""
+        """The budgets k with the level of the turn holding node k + 1, and the node total."""
         stops, total = {}, 0
-        for _, pieces, _, nodes in kernel_calls:
-            for node in (total + 1, total + nodes) if nodes else ():
+        for t in kernel_calls:
+            for node in (total + 1, total + t.nodes) if t.nodes else ():
                 if node > 1:
-                    stops[node - 1] = level_of(pieces)
-            total += nodes
+                    stops[node - 1] = level_of(t.pieces)
+            total += t.nodes
         return sorted(stops.items()), total
 
     def test_solve_m(self, kernel_calls):
@@ -683,14 +765,14 @@ class TestBudgetStops:
                 with pytest.raises(BudgetExceededError) as info:
                     solve_m(n, node_budget=k)
                 assert (info.value.nodes, info.value.lower_bound) == (k + 1, w), (n, k)
-                assert sum(nodes for *_, nodes in kernel_calls) == k + 1, (n, k)
+                assert sum(t.nodes for t in kernel_calls) == k and kernel_calls[-1].end is None, (n, k)
             assert solve_m(n, node_budget=total) == want, n
 
     def test_check_perfect(self, kernel_calls):
         for n in (84, 120, 168):
             kernel_calls.clear()
             want = check_perfect(n)
-            areas = list(dict.fromkeys(pieces[0].area for _, pieces, _, _ in kernel_calls))
+            areas = list(dict.fromkeys(t.pieces[0].area for t in kernel_calls))
             stops, total = self._stops(kernel_calls, lambda p: p[0].area)
             assert stops and total == want.nodes_searched, n
             for k, d in stops:
@@ -699,7 +781,7 @@ class TestBudgetStops:
                     check_perfect(n, node_budget=k)
                 unresolved = tuple(areas[areas.index(d):])
                 assert (info.value.nodes, info.value.unresolved) == (k + 1, unresolved), (n, k)
-                assert sum(nodes for *_, nodes in kernel_calls) == k + 1, (n, k)
+                assert sum(t.nodes for t in kernel_calls) == k and kernel_calls[-1].end is None, (n, k)
             assert check_perfect(n, node_budget=total) == want, n
 
 
@@ -746,8 +828,8 @@ class TestCertificatesAreVerified:
         """The kernel returns each tiling it finds less its last placement."""
         cover = tiling._cover
 
-        def drops(n, pieces, budget):
-            found, nodes = cover(n, pieces, budget)
+        def drops(n, pieces):
+            found, nodes = yield from cover(n, pieces)
             if found is None:
                 return None, nodes
             return Tiling(found.n, found.placements[:-1], found.defect), nodes
@@ -766,7 +848,8 @@ class TestCertificatesAreVerified:
             exact_cover_tile(4, [Rect(1, 4), Rect(3, 4)])
 
     def test_check_perfect(self, monkeypatch, capsys):
-        def claims_every_set(n, pieces, budget):
+        def claims_every_set(n, pieces):
+            yield 0  # paused before its first node, as a set the chain rule lets through
             return Tiling(n, tuple(Placement(r, 0, 0) for r in pieces), 0), 1
 
         monkeypatch.setattr(tiling, "_cover", claims_every_set)
