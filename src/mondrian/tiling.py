@@ -98,6 +98,14 @@ DEFAULT_NODE_BUDGET = 10**8
 # first, at 0.11 s)
 SOLVE_SAFE_LIMIT = 256
 
+# upper end of check_perfect's search: a live search of the round-robin keeps two masks
+# of up to h x n bits per piece and its trail's board snapshots, so memory grows with
+# (live sets) x (board size) whatever the budget (check_perfect(420, node_budget=10**5)
+# peaked at 238 MiB). Every n up to this bound whose check reaches the kernel is decided
+# at the default budget; the slowest, n = 360, is Exhausted in 7,952,169 nodes (141–162 s and
+# 47 MiB on a 2-core Xeon)
+PERFECT_SAFE_LIMIT = 419
+
 # nodes per turn of a level's round-robin in _first_tiling: small next to the searches
 # that fail, large enough that switching searches costs little next to a turn
 _QUANTUM = 64
@@ -571,7 +579,10 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
     ``nodes_searched`` counts the nodes of ``_cover``; an exhausted level
     costs the same nodes in any order.  More than ``node_budget`` of them
     raise ``BudgetExceededError``, whose ``unresolved`` lists the fitting
-    areas from the level where the search stopped on.
+    areas from the level where the search stopped on.  An n past
+    ``PERFECT_SAFE_LIMIT`` with a fitting witness is a ``UsageError``, raised
+    before any piece set is enumerated; the filter's answers, and Exhausted
+    at 0 nodes where no witness fits, stay available past it.
     """
     if n < 3:
         raise ValueError(f"n must be >= 3, got {n}")
@@ -582,6 +593,10 @@ def check_perfect(n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> PerfectChec
         return PerfectCheckOutcome(n, PerfectVerdict.FILTER_EXCLUDED, None, None, 0)
     n2 = n * n
     fitting = [(d, rects) for d in report.witnesses if len(rects := rects_with_area(d, n)) * d >= n2]
+    if fitting and n > PERFECT_SAFE_LIMIT:
+        raise UsageError(
+            f"n={n} has a fitting witness {fitting[0][0]} and exceeds the check_perfect search limit {PERFECT_SAFE_LIMIT}"
+        )
     levels = (_piece_sets(n, rects, 0) for _, rects in fitting)
     i, found, nodes = _first_tiling(n, levels, node_budget)
     if nodes > node_budget:

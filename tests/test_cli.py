@@ -230,6 +230,15 @@ class TestDispatch:
         assert main(args) == 2
         assert capsys.readouterr() == ("", message)
 
+    def test_perfect_past_search_limit_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(tiling, "_first_tiling", None)  # no piece set may be searched
+        assert main(["perfect", "--n", str(tiling.PERFECT_SAFE_LIMIT + 1)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: n=420 has a fitting witness 12600 and exceeds the check_perfect search limit 419\n"
+        )
+        assert main(["perfect", "--n", "1009"]) == 0  # the filter still answers past the limit
+        assert capsys.readouterr() == ("FilterExcluded\n", "")
+
     def test_undecodable_bfile_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "b.txt"
         bad.write_bytes(b"\xff\xfe 1 2\n")

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from mondrian import numtheory, tiling
 from mondrian.census import load_bfile
 from mondrian.cli import main
-from mondrian.errors import BudgetExceededError, InternalConsistencyError
+from mondrian.errors import BudgetExceededError, InternalConsistencyError, UsageError
 from mondrian.tiling import (
     Placement,
     Rect,
     Tiling,
+    PerfectCheckOutcome,
     PerfectVerdict,
     canonical_rect,
     check_perfect,
@@ -407,27 +408,33 @@ class TestKernelVerdicts:
 
 
 class TestComputedM:
-    """``data/computed_m.json`` records M(n) past the local b-file, computed here, not from OEIS.
+    """``data/computed_m.json`` records M(n) computed here by ``solve_m`` at the default budget.
 
     Each certificate must replay through ``verify_tiling`` at the recorded
-    defect; that proves M(n) <= m.  The lower bound rests on the search that
-    produced the entry: n = 23 is recomputed here, node total included, and
-    CI steps recompute n = 21, 22, 24 and 25 and compare.
+    defect; that proves M(n) <= m.  Where the b-file has n the recorded m must
+    equal it, and every node total must fit the default budget.  The lower
+    bound rests on the search that produced the entry: n = 23 is recomputed
+    here, node total included, and a CI step recomputes every entry and
+    compares its certificate and node total.
     """
 
     RECORD = json.loads((Path(__file__).parent / "data" / "computed_m.json").read_text())
 
-    def test_certificates_replay(self, bfile_path):
-        known = load_bfile(bfile_path)
+    def test_certificates_replay(self):
         entries = self.RECORD["entries"]
-        assert [e["n"] for e in entries] == [21, 22, 23, 24, 25]
+        assert [e["n"] for e in entries] == [20, 21, 22, 23, 24, 25, 26, 29]
         for e in entries:
-            assert e["n"] not in known
             cert = tiling_from_json(json.dumps(e["certificate"]))
             report = verify_tiling(cert)
             assert report.valid, (e["n"], report.reason)
             assert (cert.n, cert.defect, report.defect) == (e["n"], e["m"], e["m"])
             assert_canonical_corners(cert)
+
+    def test_agrees_with_bfile_inside_budget(self, bfile_path):
+        known = load_bfile(bfile_path)
+        for e in self.RECORD["entries"]:
+            assert e["n"] not in known or e["m"] == known[e["n"]], e["n"]
+            assert e["nodes"] <= tiling.DEFAULT_NODE_BUDGET, e["n"]
 
     def test_recompute_23(self, kernel_calls):
         want = next(e for e in self.RECORD["entries"] if e["n"] == 23)
@@ -710,6 +717,15 @@ class TestCheckPerfect:
         with pytest.raises(BudgetExceededError) as info:
             check_perfect(84, node_budget=1)
         assert (info.value.nodes, info.value.unresolved) == (2, (1008, 1764, 2352, 3528))
+
+    def test_search_limit(self, monkeypatch):
+        # past the limit an n keeps only the answers that search no piece set: the
+        # filter's (test_cli), and Exhausted at 0 nodes where no witness fits
+        n = tiling.PERFECT_SAFE_LIMIT + 1
+        assert check_perfect(n + 2) == PerfectCheckOutcome(n + 2, PerfectVerdict.EXHAUSTED, 89042, None, 0)
+        monkeypatch.setattr(tiling, "_piece_sets", None)  # no piece set may be enumerated
+        with pytest.raises(UsageError, match=f"n={n} has a fitting witness 12600"):
+            check_perfect(n)
 
     def test_nodes_accounted_when_search_runs(self):
         out = check_perfect(84)
