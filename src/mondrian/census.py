@@ -13,6 +13,11 @@ The asymptotic reference values (the e^-gamma constants) are reported next
 to the exact counts but never asserted against them: at desk scale the o(1)
 terms dominate, so only the exact chain and the Mertens-density ratio in the
 x >> z regime are testable claims.
+
+numpy is imported in ``run_chain_census`` and in the ``numtheory`` sieves it
+calls, not at module level: the b-file checks (``load_bfile``,
+``compare_oeis``) and everything that imports this module for them start
+without it.
 """
 
 from __future__ import annotations
@@ -20,9 +25,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields
-from typing import IO, Iterator
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterator
 
 from .errors import BFileParseError, BudgetExceededError, InternalConsistencyError, UsageError
 from .numtheory import (
@@ -37,6 +40,9 @@ from .numtheory import (
     rough_count,  # noqa: F401  # perfbench/spans.py wraps this name
 )
 from .tiling import DEFAULT_NODE_BUDGET, solve_m
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
@@ -140,6 +146,8 @@ def run_chain_census(x: int) -> CensusRecord:
         raise ValueError(f"x must be >= 16, got {x}")
     if x > CENSUS_SAFE_LIMIT:
         raise UsageError(f"x={x} exceeds the census limit {CENSUS_SAFE_LIMIT}")
+    import numpy as np
+
     z = compute_z(x)
     least = math.floor(_tau_threshold(x)) + 1  # tau is an integer: tau <= threshold iff tau < least
 

@@ -12,6 +12,11 @@ and the divisor summatory function.
 ``FactorTable`` remains as a standalone spf table that no other function uses.
 All arithmetic is exact integer arithmetic; the only floats are the analytic
 reference quantities (thresholds, Mertens-type densities).
+
+numpy is imported inside the functions that sieve (``_primes_upto``,
+``build_factor_table``, ``_prime_bound``, ``_lucy``, ``_Multiples``,
+``_divisor_blocks`` and ``_excess_tau_lift``), never at module level, so the
+tiling search, which only needs ``witness_report``, starts without it.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import UsageError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FactorTable",
@@ -69,8 +75,6 @@ _BLOCK = 1 << 14
 # one indexed pass per block (the sweep in BENCH_census_batch.json chose it)
 _STRIDED_BELOW = 8
 
-_POW3 = 3 ** np.arange(16, dtype=np.int64)  # 3**k for k < 16: an int64 has at most 15 primes
-
 
 @dataclass(frozen=True)
 class FactorTable:
@@ -89,6 +93,8 @@ class FactorTable:
 def _primes_upto(m: int) -> list[int]:
     if m < 2:
         return []
+    import numpy as np
+
     sieve = np.ones(m + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(m) + 1):
@@ -101,6 +107,8 @@ def build_factor_table(limit: int) -> FactorTable:
     """Sieve smallest prime factors up to ``limit`` (inclusive)."""
     if limit < 2:
         raise ValueError(f"limit must be >= 2, got {limit}")
+    import numpy as np
+
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in _primes_upto(math.isqrt(limit)):
         window = spf[p * p :: p]
@@ -225,6 +233,8 @@ def _prime_bound(p, a, out=None):
     n.  Works on ints and, elementwise, on numpy integer arrays, into
     ``out`` when given.
     """
+    import numpy as np
+
     # p + 1 + (p - 1) // 2a, one ufunc at a time so that ``out`` holds each step
     bound = np.floor_divide(np.subtract(p, 1, out=out), 2 * a, out=out)
     return np.add(np.add(bound, p, out=out), 1, out=out)
@@ -299,6 +309,8 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
     last, b = min(z, r), max(2, math.isqrt(r))
     if last < 2:
         return x - 1, 0
+    import numpy as np
+
     small = np.arange(1, r + 2, dtype=np.int64) // 2  # S(v) = (v + 1) // 2
     small[:2] = (-1, 0)  # S(v) = v - 1 below 2
     quot = np.arange(1, r + 1, 2, dtype=np.int64)
@@ -434,6 +446,8 @@ class _Multiples:
     """
 
     def __init__(self, primes: np.ndarray, exponent: int, width: int):
+        import numpy as np
+
         self.steps = primes**exponent
         count = -(-width // self.steps)
         ends = np.cumsum(count)
@@ -445,6 +459,8 @@ class _Multiples:
 
     def index(self, start: int, size: int) -> np.ndarray:
         """The row in [0, size), or ``size``, of each slot, for rows n = start + 2i."""
+        import numpy as np
+
         np.take(_first_row(start, self.steps), self.owner, out=self.idx)
         self.idx += self.offset
         return np.minimum(self.idx, size, out=self.idx)
@@ -487,6 +503,8 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
     of exponent a >= 2 got its lower bound in the p² pass, so after the
     primes only spf's bound with a = 1 is still to be taken in.
     """
+    import numpy as np
+
     lo |= 1
     width = min(_BLOCK, (hi - lo + 1) // 2)
     primes = _primes_upto(math.isqrt(hi - 1))[1:]  # odd: 2 divides no row
@@ -498,6 +516,7 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
     # n, spf, tau(n), tau(n²), need, once, power and scratch; entry width is spare
     rows = np.empty((8, width + 1), dtype=np.int64)
     rows[0] = np.arange(0, 2 * width + 1, 2)
+    pow3 = 3 ** np.arange(16, dtype=np.int64)  # 3**k for k < 16: an int64 has at most 15 primes
     for start in range(lo, hi, 2 * width):
         size = min(width, (hi - start + 1) // 2)
         n, spf, tau_n, tau_n2, need, once, power, scratch = rows
@@ -557,7 +576,7 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
         scratch = scratch[:size]
         once += np.less(power, n, out=scratch)
         tau_n <<= once
-        tau_n2 *= np.take(_POW3, once, out=scratch)
+        tau_n2 *= np.take(pow3, once, out=scratch)
         np.minimum(need, _prime_bound(spf, 1, out=scratch), out=need)
         yield start, spf, tau_n, tau_n2, need
 
@@ -573,6 +592,8 @@ def _excess_tau_lift(x: int, least: int, start: int, tau_n: np.ndarray) -> int:
     lie in [3, x] for 2 <= a <= log2 x, so summed over the blocks of [3, x]
     this counts every n in [3, x].
     """
+    import numpy as np
+
     count = sum(a + 1 >= least for a in range(2, x.bit_length())) if start == 3 else 0
     a = 0
     while (top := x >> a) >= start:

@@ -324,3 +324,37 @@ def test_no_command_leaves_cyclic_garbage(capsys, args):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_only_the_sieving_commands_import_numpy():
+    # solve, perfect and verify-oeis never sieve, so a cold start of any of them
+    # must not pay for numpy's import; census, chain and rough load it at their
+    # first sieve. A fresh interpreter, since this process imported numpy long ago.
+    golden = {tuple(g["args"]): g["stdout"] for g in GOLDEN}
+    sieving = [
+        ["census", "--x", "100000", "--format", "json"],
+        ["chain", "--x", "100000", "--format", "json"],
+        ["rough", "--x", "1000", "--z", "10", "--format", "json"],
+    ]
+    script = f"""
+import contextlib, io, json, sys
+import mondrian, mondrian.cli
+
+def run(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = mondrian.cli.main(args)
+    return status, out.getvalue()
+
+for args in (["solve", "--n", "12"], ["perfect", "--n", "20"], ["perfect", "--n", "84"],
+             ["verify-oeis", "--bfile", {str(DATA_DIR / "b276523.txt")!r}, "--from", "3", "--to", "8"]):
+    assert run(args)[0] == 0, args
+    assert "numpy" not in sys.modules, args
+print(json.dumps([run(args) for args in {sieving!r}]))
+print("numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    runs, loaded = proc.stdout.splitlines()
+    assert json.loads(runs) == [[0, golden[tuple(args)]] for args in sieving]
+    assert loaded == "True"
