@@ -54,10 +54,10 @@ WITNESS_SAFE_LIMIT = 10**6
 
 _E_TO_E = math.exp(math.e)
 
-# rough_count's sieve keeps one int64 array of isqrt(x) + 1 entries and three of
-# half that, about 63 MB at this bound, where x // k stays far inside int64; its
-# prime-pair pass frees two of the halves and keeps a few arrays of one entry
-# per prime up to sqrt x
+# rough_count's sieve keeps one array of isqrt(x) + 1 entries and three of half
+# that, int64 past x = 2**31 - 2 (``_sieve_dtype``), so about 63 MB at this
+# bound, where x // k stays far inside int64; its prime-pair pass frees two of
+# the halves and keeps a few arrays of one entry per prime up to sqrt x
 ROUGH_SAFE_LIMIT = 10**13
 
 # upper end of the domain of run_chain_census and census_excess_tau: their
@@ -68,7 +68,8 @@ CENSUS_SAFE_LIMIT = 10**12
 
 # odd integers per divisor-sieve block, so a block spans 2 * _BLOCK integers:
 # enough rows to spread each numpy call per prime and block, while the eight
-# int64 rows of ``_divisor_blocks``'s workspace stay at 1 MiB
+# rows of ``_divisor_blocks``'s workspace stay at 0.5 MiB in int32 (hi up to
+# about 1.4 * 10**9) and 1 MiB in int64
 _BLOCK = 1 << 14
 
 # the divisor sieve's tier cutoff: primes below it take strided slices, the rest
@@ -88,6 +89,17 @@ class FactorTable:
 
     limit: int
     spf: np.ndarray
+
+
+def _sieve_dtype(top: int) -> type:
+    """The integer dtype of a sieve whose arrays hold values up to ``top``: int32 below 2**31, else int64.
+
+    Half the width streams half the bytes through every numpy pass, so each
+    sieve calls this with the largest value any of its arrays can hold.
+    """
+    import numpy as np
+
+    return np.int32 if top < 2**31 else np.int64
 
 
 def _primes_upto(m: int) -> list[int]:
@@ -288,8 +300,10 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
     for v <= r = isqrt x, and ``large[i]`` = S(x // k), ``quot[i]`` = x // k
     for the odd k = 2i + 1 <= r.  An odd prime p takes S(x // kp) from
     ``large[(kp - 1) / 2]`` = ``large[i·p + (p - 1) / 2]`` while kp <= r, and
-    from ``small`` past it.  The three arrays hold about 2.5·sqrt x int64
-    entries, against 4·sqrt x with every k.
+    from ``small`` past it.  The three arrays hold about 2.5·sqrt x entries,
+    against 4·sqrt x with every k.  Their largest value is x + 1, in
+    ``(quot + 1) // 2``, so they are int32 for x <= 2**31 - 2 and int64
+    past it (``_sieve_dtype``); the sums over them accumulate in int64.
 
     The loop applies the primes up to min(z, b), b = max(2, isqrt r), so
     prime 2 whenever 2 <= min(z, r), also for x < 16 where isqrt r < 2.  It
@@ -311,9 +325,10 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
         return x - 1, 0
     import numpy as np
 
-    small = np.arange(1, r + 2, dtype=np.int64) // 2  # S(v) = (v + 1) // 2
+    dtype = _sieve_dtype(x + 1)
+    small = np.arange(1, r + 2, dtype=dtype) // 2  # S(v) = (v + 1) // 2
     small[:2] = (-1, 0)  # S(v) = v - 1 below 2
-    quot = np.arange(1, r + 1, 2, dtype=np.int64)
+    quot = np.arange(1, r + 1, 2, dtype=dtype)
     np.floor_divide(x, quot, out=quot)  # quot[i] = x // (2i + 1) >= r >= 2, so S is (v + 1) // 2
     large = (quot + 1) // 2
     buf = np.empty_like(quot)  # scratch; each right-hand side is copied here first
@@ -345,14 +360,14 @@ def _lucy(x: int, z: int) -> tuple[int, int]:
     # rest[j] has index looped + j among all the primes applied
     looped = int(small[b])
     rest = np.flatnonzero(small[b + 1 : last + 1] != small[b:last]) + (b + 1)
-    s -= int(large[rest // 2].sum()) - sum(range(looped, looped + len(rest)))
+    s -= int(large[rest // 2].sum(dtype=np.int64)) - sum(range(looped, looped + len(rest)))
     # rest[j] pairs with each rest[i], j < i < ends[j]: the p_i with p_i·p_j² <= x;
     # ends never grows with j, so the p_j with a pair are a prefix of rest
     ends = np.searchsorted(rest, x // (rest * rest), side="right")
     paired = int(np.count_nonzero(ends > np.arange(1, len(rest) + 1)))
     for j, (p, end) in enumerate(zip(rest[:paired].tolist(), ends[:paired].tolist())):
         # x // (p_i·p_j) = (x // p_j) // p_i
-        s += int(small[x // p // rest[j + 1 : end]].sum()) - (end - j - 1) * (looped + j)
+        s += int(small[x // p // rest[j + 1 : end]].sum(dtype=np.int64)) - (end - j - 1) * (looped + j)
     return s, int(small[last])
 
 
@@ -364,7 +379,8 @@ def rough_count(x: int, z: int) -> int:
     pass over prime pairs, a slice per smaller prime, for the primes in
     (x^¼, min(z, sqrt x)].  The sieve's table tells the primes apart, so
     this is the only prime sieve it runs.
-    O(x^(3/4) / log x) time, and memory of about 2.5·sqrt x int64 entries.
+    O(x^(3/4) / log x) time, and memory of about 2.5·sqrt x entries, int32
+    up to x = 2**31 - 2 and int64 past it.
     For z >= isqrt(x) every prime up to sqrt x has been applied, so S(x) =
     pi(x) and the count is 1 + pi(x) - pi(min(z, x)); z >= x leaves only 1
     and sieves nothing.
@@ -436,10 +452,13 @@ def _first_row(start, q):
 class _Multiples:
     """Where the odd multiples of p**exponent fall in a block of at most ``width`` odd integers.
 
-    p runs over ``primes``, all odd.  The slots are laid out once per call,
-    ceil(width / p**exponent) for each p in the order of ``primes``, which is
-    room for every multiple in any block, since they lie p**exponent rows
-    apart.  ``index`` writes the row of every slot into one reused buffer; a
+    p runs over ``primes``, all odd.  Each slot's p and p**exponent keep the
+    dtype of ``primes``, the rows' dtype, for ``ufunc.at``; the per-prime
+    ``steps`` that ``index`` works the rows out from are intp, like the rows,
+    so ``_first_row``'s terms of up to 2·p**exponent never overflow.  The
+    slots are laid out once per call, ceil(width / p**exponent) for each p in
+    the order of ``primes``, which is room for every multiple in any block,
+    since they lie p**exponent rows apart.  ``index`` writes the row of every slot into one reused buffer; a
     slot that falls past the block's end points at the spare entry ``size`` of
     the workspace, which the block's views hide, so each block takes every
     prime's slots, also those of primes with no multiple in it.
@@ -448,13 +467,13 @@ class _Multiples:
     def __init__(self, primes: np.ndarray, exponent: int, width: int):
         import numpy as np
 
-        self.steps = primes**exponent
+        self.steps = primes.astype(np.intp) ** exponent
         count = -(-width // self.steps)
         ends = np.cumsum(count)
         self.owner = np.repeat(np.arange(len(primes)), count)
         self.p = primes[self.owner]  # the prime and the step p**exponent of each slot
-        self.step = self.steps[self.owner]
-        self.offset = self.step * (np.arange(len(self.owner)) - (ends - count)[self.owner])
+        self.step = self.p**exponent
+        self.offset = self.steps[self.owner] * (np.arange(len(self.owner)) - (ends - count)[self.owner])
         self.idx = np.empty(len(self.owner), dtype=np.intp)
 
     def index(self, start: int, size: int) -> np.ndarray:
@@ -472,9 +491,13 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
     [lo, hi) must hold an odd n.  Row i of a block holds n = start + 2i, and
     start is odd.  The even n are not sieved: the censuses settle them
     without these arrays, and ``_excess_tau_lift`` reads their tau off the
-    odd rows.  The workspace is allocated once per call: eight int64 arrays
-    of one entry per row plus a spare, the indexed tier's slots
-    (``_Multiples``) and their buffers.  Every block is written into it with
+    odd rows.  The workspace is allocated once per call: eight arrays of one
+    entry per row plus a spare, the indexed tier's slots (``_Multiples``) and
+    their buffers.  Their dtype is ``_sieve_dtype`` of the largest value a
+    row holds: need <= _prime_bound(hi - 1, 1), about 1.5·hi, or the spare
+    row's n past the last block, so they are int32 for hi up to about
+    1.4·10⁹ and int64 past it.  Every ``ufunc.at`` takes values of that dtype,
+    which keeps it on numpy's fast path.  Every block is written into it with
     ``out=`` and in-place ufuncs, so the arrays a block yields are
     overwritten when the next block is asked for: read or copy them before
     advancing.  The workspace belongs to the call, so generators running
@@ -507,16 +530,19 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
 
     lo |= 1
     width = min(_BLOCK, (hi - lo + 1) // 2)
+    last = lo + (hi - 1 - lo) // (2 * width) * (2 * width)  # the last block's start
+    dtype = _sieve_dtype(max(int(_prime_bound(hi - 1, 1)), last + 2 * width))
+    one = dtype(1)
     primes = _primes_upto(math.isqrt(hi - 1))[1:]  # odd: 2 divides no row
     split = bisect_left(primes, _STRIDED_BELOW)
-    large = np.array(primes[split:], dtype=np.int64)
+    large = np.array(primes[split:], dtype=dtype)
     ones = _Multiples(large, 1, width)
     squares = _Multiples(large, 2, width)
-    m_buf, a_buf = np.empty((2, len(squares.idx)), dtype=np.int64)
+    m_buf, a_buf = np.empty((2, len(squares.idx)), dtype=dtype)
     # n, spf, tau(n), tau(n²), need, once, power and scratch; entry width is spare
-    rows = np.empty((8, width + 1), dtype=np.int64)
+    rows = np.empty((8, width + 1), dtype=dtype)
     rows[0] = np.arange(0, 2 * width + 1, 2)
-    pow3 = 3 ** np.arange(16, dtype=np.int64)  # 3**k for k < 16: an int64 has at most 15 primes
+    pow3 = 3 ** np.arange(16, dtype=dtype)  # 3**k for k < 16: an int64 has at most 15 primes
     for start in range(lo, hi, 2 * width):
         size = min(width, (hi - start + 1) // 2)
         n, spf, tau_n, tau_n2, need, once, power, scratch = rows
@@ -524,13 +550,13 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
         np.copyto(spf, n)
         tau_n.fill(1)  # prod of a + 1 over the primes with a >= 2
         tau_n2.fill(1)  # prod of 2a + 1 over the same primes
-        need.fill(np.iinfo(np.int64).max)
+        need.fill(np.iinfo(dtype).max)
         once.fill(0)  # sieved primes dividing n exactly once
         power.fill(1)  # prod of the sieved prime powers p^a dividing n
         # large tier: every multiple of every large prime, then of its square
         idx = ones.index(start, size)
         np.minimum.at(spf, idx, ones.p)
-        np.add.at(once, idx, 1)
+        np.add.at(once, idx, one)
         np.multiply.at(power, idx, ones.p)
         idx = squares.index(start, size)
         p = squares.p
@@ -543,7 +569,7 @@ def _divisor_blocks(lo: int, hi: int) -> Iterator[tuple]:
         while len(live := live[m[live] % p[live] == 0]):
             m[live] //= p[live]
             a[live] += 1
-        np.subtract.at(once, idx, 1)
+        np.subtract.at(once, idx, one)
         np.multiply.at(power, idx, p ** (a - 1))
         np.multiply.at(tau_n, idx, a + 1)
         np.multiply.at(tau_n2, idx, 2 * a + 1)

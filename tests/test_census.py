@@ -205,6 +205,11 @@ def around(n, width=100):
     return n - width, n + width
 
 
+# the largest hi whose divisor-sieve rows are int32: their largest value is
+# need <= _prime_bound(hi - 1, 1) = hi + (hi - 2) // 2, below 2**31 up to here
+HI32 = 1431655765
+
+
 class TestBlockedPass:
     """The block arrays and predicates against the per-n reference, across block edges."""
 
@@ -281,6 +286,10 @@ class TestBlockedPass:
         # two indexed squares at one n repeat an index in the p² pass
         pytest.param(*around(P**3 * Q**2), id="P^3*Q^2"),
         pytest.param(*around(97**2 * 1031**2), id="97^2*1031^2"),
+        # the last window of int32 rows, whose prime 1431655751 has need 2**31 - 21,
+        # and the first past it
+        pytest.param(HI32 - 200, HI32, id="largest-int32-hi"),
+        pytest.param(HI32 - 199, HI32 + 1, id="first-int64-hi"),
     ])
     def test_block_arrays_match_the_factorisation(self, lo, hi):
         [(start, *arrays)] = numtheory._divisor_blocks(lo, hi)  # each range fits in one block
@@ -288,6 +297,7 @@ class TestBlockedPass:
         odd = range(lo | 1, hi, 2)
         want = divisor_block_oracle(odd)
         assert start == odd[0] and len(got) == len(odd)
+        assert {a.dtype.name for a in arrays} == {"int32" if hi <= HI32 else "int64"}
         assert [n for n, g, w in zip(odd, got, want) if g != w] == []
 
     def test_generators_share_no_workspace(self, monkeypatch):

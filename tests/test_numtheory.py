@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,11 +316,28 @@ class TestRoughCount:
             got = [rough_count(x, z) for x in range(1, 3001)]
             assert got == want[1:], z
 
-    def test_prime_count_anchors(self):
+    def test_prime_count_anchors(self, monkeypatch):
         # 1 + pi(x) - pi(sqrt x), pi(10**k) from OEIS A006880
         for k, pi in enumerate((78498, 664579, 5761455, 50847534, 455052511), start=6):
             x = 10**k
             assert rough_count(x, math.isqrt(x)) == 1 + pi - len(_primes_upto(math.isqrt(x)))
+        # the same from pi(2**30) and pi(2**31) (OEIS A007053), across the bound
+        # x + 1 < 2**31 of _lucy's int32 arrays; 2**31 - 1 is prime
+        sieve_dtype, dtypes = numtheory._sieve_dtype, []
+
+        def recording(top):
+            dtypes.append(sieve_dtype(top))
+            return dtypes[-1]
+
+        monkeypatch.setattr(numtheory, "_sieve_dtype", recording)
+        for x, count, dtype in (
+            (2**30, 54396517, np.int32),
+            (2**31 - 2, 105092773, np.int32),
+            (2**31 - 1, 105092774, np.int64),
+        ):
+            dtypes.clear()
+            assert rough_count(x, math.isqrt(x)) == count, x
+            assert dtypes == [dtype], x
 
     def test_rough_workload_references(self):
         assert rough_count(10**9, 50) == 138704065
