@@ -40,6 +40,8 @@ Key search facts the code relies on:
   is never tried.  One no wider than the run and no taller than the rows left
   always fits: a piece covering a cell below the run would have had to start
   at or before the first empty cell's row, and so would cover part of the run.
+  The run lies in one row, so its end is found among that row's own cells,
+  never across the rows below.
 * Each of the square's 8 symmetries maps a tiling to a tiling of the same
   pieces and permutes the four corners.  Take the corner piece that sorts
   first (descending area, then short side, then long side) and a corner it
@@ -60,6 +62,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 import json
 import math
@@ -102,8 +105,8 @@ SOLVE_SAFE_LIMIT = 256
 # of up to h x n bits per piece and its trail's board snapshots, so memory grows with
 # (live sets) x (board size) whatever the budget (check_perfect(420, node_budget=10**5)
 # peaked at 238 MiB). Every n up to this bound whose check reaches the kernel is decided
-# at the default budget; the slowest, n = 360, is Exhausted in 7,952,169 nodes (141–162 s and
-# 47 MiB on a 2-core Xeon)
+# at the default budget; the slowest, n = 360, is Exhausted in 7,952,169 nodes (124 s and
+# 35 MiB on a 2-core Xeon, where the whole-board run scan before took 189 s)
 PERFECT_SAFE_LIMIT = 419
 
 # nodes per turn of a level's round-robin in _first_tiling: small next to the searches
@@ -273,6 +276,12 @@ def _base_mask(n: int, width: int, height: int) -> int:
     return ((1 << width) - 1) * (((1 << (n * height)) - 1) // ((1 << n) - 1))
 
 
+@functools.lru_cache(maxsize=1)
+def _walls(n: int) -> tuple[int, ...]:
+    """walls[k]: the k cells at the front of a board int; one table serves every live search of one n."""
+    return tuple((1 << k) - 1 for k in range(n + 1))
+
+
 def _sorted_pieces(pieces: Iterable[Rect]) -> tuple[Rect, ...]:
     return tuple(sorted(pieces, key=lambda r: (-r.area, r.w, r.h)))
 
@@ -298,7 +307,10 @@ def _cover(n: int, pieces: tuple[Rect, ...]) -> Generator[int, int, tuple[Tiling
     The board int ``occ`` starts at the first empty cell ``cell``: bit k is
     cell + k in row-major order, so bit 0 is always empty, a variant's mask
     goes on unshifted, and the filled cells it leaves at the front are
-    shifted off.  The board is full at ``cell == n * n``.
+    shifted off.  The board is full at ``cell == n * n``.  The run ends at
+    the lowest set bit of the board masked to the row's remaining n - x
+    cells (``walls[n - x]``), or at the wall when that is 0, so finding it
+    costs an int of at most n bits however many rows the board still spans.
 
     Before any mask is built, the chain rule (see the module docstring)
     refutes a set at 0 nodes: for each piece P, bit t of ``sums`` is set when
@@ -330,6 +342,7 @@ def _cover(n: int, pieces: tuple[Rect, ...]) -> Generator[int, int, tuple[Tiling
     # fitw[k] / fith[k]: the variants of width / height at most k
     fitw = list(itertools.accumulate(by_width, operator.or_))
     fith = list(itertools.accumulate(by_height, operator.or_))
+    walls = _walls(n)
     size = n * n
     nodes = stop = 0  # stop: the nodes this search may spend before it pauses
     trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
@@ -359,10 +372,9 @@ def _cover(n: int, pieces: tuple[Rect, ...]) -> Generator[int, int, tuple[Tiling
         x = cell % n
         rows = n - cell // n
         run = n - x
-        if occ:  # the run ends at the next occupied cell
-            gap = (occ & -occ).bit_length() - 1
-            if gap < run:
-                run = gap
+        row = occ & walls[run]  # the rest of the current row
+        if row:  # the run ends at the row's next occupied cell
+            run = (row & -row).bit_length() - 1
         cand = avail & fitw[run] & fith[rows]
         if not x:  # the bottom-left corner
             cand &= ~(first & by_height[rows])

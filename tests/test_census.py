@@ -3,6 +3,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -299,6 +300,38 @@ class TestBlockedPass:
         assert start == odd[0] and len(got) == len(odd)
         assert {a.dtype.name for a in arrays} == {"int32" if hi <= HI32 else "int64"}
         assert [n for n, g, w in zip(odd, got, want) if g != w] == []
+
+    @pytest.mark.parametrize("lo, hi, dtype", [
+        pytest.param(3, 250_001, "int32", id="int32-rows"),
+        pytest.param(10**12 + 7, 10**12 + 2006, "int64", id="int64-rows"),
+    ])
+    def test_ufunc_at_takes_the_rows_dtype(self, monkeypatch, lo, hi, dtype):
+        # a Python int or a wider operand gives the same arrays, but takes ufunc.at off
+        # numpy's fast path (the census ran about 3x slower), so only the dtypes show it
+        seen = []  # (ufunc, target dtype, value dtype or type) per ufunc.at call
+
+        class Recording:
+            def __init__(self, ufunc):
+                self.ufunc = ufunc
+
+            def __call__(self, *args, **kwargs):
+                return self.ufunc(*args, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self.ufunc, name)
+
+            def at(self, a, indices, b):
+                value = b.dtype.name if isinstance(b, (np.ndarray, np.generic)) else type(b).__name__
+                seen.append((self.ufunc.__name__, a.dtype.name, value))
+                return self.ufunc.at(a, indices, b)
+
+        # _divisor_blocks, _Multiples and _prime_bound look these up on numpy at call time
+        for name in ("minimum", "add", "multiply", "subtract"):
+            monkeypatch.setattr(np, name, Recording(getattr(np, name)))
+        for _ in numtheory._divisor_blocks(lo, hi):
+            pass
+        assert {name for name, _, _ in seen} == {"minimum", "add", "multiply", "subtract"}
+        assert {(target, value) for _, target, value in seen} == {(dtype, dtype)}
 
     def test_generators_share_no_workspace(self, monkeypatch):
         # zip advances both generators before either block is read, so a

@@ -405,6 +405,7 @@ class TestKernelVerdicts:
         nodes = sum(check_perfect(n).nodes_searched for n in range(3, 201))
         assert sent() == [[n, sides] for n, sides, _ in self.VERDICTS["check_perfect"]]
         assert nodes == 47_892
+        assert check_perfect(240).nodes_searched == 21_097
 
 
 class TestComputedM:
@@ -480,8 +481,10 @@ class TestAgainstSeedKernel:
         self._assert_same_as_seed(kernel_calls)
 
     def test_check_perfect(self, kernel_calls):
-        # n = 84 is the first n whose check spends a node; the chain rule refutes every set before it
-        for n in range(3, 85):
+        # the n up to 240 whose check spends a node are 84, 120, 168, 180, 210 and 240 (the
+        # chain rule refutes every other set): runs up to 240 cells wide on boards of up to
+        # 57,600 bits, where the run's end must be found within its row
+        for n in range(3, 241):
             check_perfect(n)
         self._assert_same_as_seed(kernel_calls)
 
