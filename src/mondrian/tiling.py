@@ -15,9 +15,12 @@ first tiling any of them completes ends the level: a level needs only one
 tiling, and a hard set that fails no longer holds up an easy one behind it.
 The kernel never raises, so a budget stop is the driver's.  The board lives
 in a single Python integer that starts at the first empty cell, one bit per cell in
-row-major order from there on, so the full rows behind it cost nothing, "find
-the next empty cell" is a couple of bit operations, and the unused oriented
-pieces that can go there are the set bits of one more integer.  The enumerator and the
+row-major order from there on, so the full rows behind it cost nothing and the
+unused oriented pieces that can go there are the set bits of one more integer.
+A node spans the whole board only to place a piece and to shift the filled
+cells it leaves at the front off; its two scans, for the next empty cell and
+for the end of the run there, look at one row's width of cells (the first looks
+further only when all of those are filled).  The enumerator and the
 kernel are each one depth-first loop over an explicit trail, not a recursion,
 so a search its caller stops early leaves no reference cycle behind.
 
@@ -105,8 +108,8 @@ SOLVE_SAFE_LIMIT = 256
 # of up to h x n bits per piece and its trail's board snapshots, so memory grows with
 # (live sets) x (board size) whatever the budget (check_perfect(420, node_budget=10**5)
 # peaked at 238 MiB). Every n up to this bound whose check reaches the kernel is decided
-# at the default budget; the slowest, n = 360, is Exhausted in 7,952,169 nodes (124 s and
-# 35 MiB on a 2-core Xeon, where the whole-board run scan before took 189 s)
+# at the default budget; the slowest, n = 360, is Exhausted in 7,952,169 nodes (64 s and
+# 35 MiB on a 2-core Xeon) and the next, n = 330, in 1,560,654 nodes (9 s)
 PERFECT_SAFE_LIMIT = 419
 
 # nodes per turn of a level's round-robin in _first_tiling: small next to the searches
@@ -307,10 +310,14 @@ def _cover(n: int, pieces: tuple[Rect, ...]) -> Generator[int, int, tuple[Tiling
     The board int ``occ`` starts at the first empty cell ``cell``: bit k is
     cell + k in row-major order, so bit 0 is always empty, a variant's mask
     goes on unshifted, and the filled cells it leaves at the front are
-    shifted off.  The board is full at ``cell == n * n``.  The run ends at
+    shifted off.  The board is full at ``cell == n * n``.  Those two steps,
+    ``occ |= masks[v]`` and ``occ >>= shift``, are the only ones of a node
+    that span the whole board; its two scans look at one row's width of
+    cells, however many rows the board still spans.  The filled cells at
+    the front are counted among the board's first n cells (``walls[n]``),
+    and across the whole board only when all n are filled.  The run ends at
     the lowest set bit of the board masked to the row's remaining n - x
-    cells (``walls[n - x]``), or at the wall when that is 0, so finding it
-    costs an int of at most n bits however many rows the board still spans.
+    cells (``walls[n - x]``), or at the wall when that is 0.
 
     Before any mask is built, the chain rule (see the module docstring)
     refutes a set at 0 nodes: for each piece P, bit t of ``sums`` is set when
@@ -343,6 +350,7 @@ def _cover(n: int, pieces: tuple[Rect, ...]) -> Generator[int, int, tuple[Tiling
     fitw = list(itertools.accumulate(by_width, operator.or_))
     fith = list(itertools.accumulate(by_height, operator.or_))
     walls = _walls(n)
+    front = walls[n]  # one row's width of cells at the front of the board
     size = n * n
     nodes = stop = 0  # stop: the nodes this search may spend before it pauses
     trail: list[tuple[int, int, int, int, int]] = []  # (occ, avail, cand, cell, v) per level
@@ -363,7 +371,10 @@ def _cover(n: int, pieces: tuple[Rect, ...]) -> Generator[int, int, tuple[Tiling
         if not cell:  # first: the variants of the pieces sorted before the one at cell 0
             first = (1 << (v & ~1)) - 1
         occ |= masks[v]
-        shift = (occ ^ (occ + 1)).bit_length() - 1  # the filled cells now at the front
+        low = occ & front  # the filled cells at the front end in here unless all n are filled
+        if low == front:
+            low = occ
+        shift = (low ^ (low + 1)).bit_length() - 1  # the filled cells now at the front
         occ >>= shift
         cell += shift
         if cell == size:

@@ -137,6 +137,17 @@ def assert_canonical_corners(t):
         assert key(other) >= key(origin), (cx, cy, other, origin)
 
 
+def fronts(t):
+    """The filled cells in front of the board after each placement of a certificate.
+
+    The kernel puts each piece on the first empty cell, so the cells between
+    one placement's top-left and the next's (or the board's end) were filled
+    once the first went on.
+    """
+    cells = [p.y * t.n + p.x for p in t.placements] + [t.n * t.n]
+    return [b - a for a, b in zip(cells, cells[1:])]
+
+
 class TestCanonicalRect:
     def test_orientation_normalized(self):
         assert R(3, 2) == Rect(2, 3)
@@ -487,6 +498,77 @@ class TestAgainstSeedKernel:
         for n in range(3, 241):
             check_perfect(n)
         self._assert_same_as_seed(kernel_calls)
+
+
+class TestRowBoundedScans:
+    """Boards that reach the edges of the kernel's two scans, each one row wide.
+
+    The run's end is looked for among the current row's cells, so a row whose
+    only filled cell is its last must end the run one cell short of the wall.
+    The filled cells in front of the board are counted among its first n, and
+    across the whole board only when all n are filled, so placements that
+    leave n - 1, n and n + 1 filled cells in front must shift by exactly that.
+    The kernel tiles each set in a handful of nodes, the same at every n up
+    to n = 180, whose board holds 32,400 bits.
+    """
+
+    WIDE = (12, 64, 180)
+
+    @pytest.mark.parametrize("n", WIDE)
+    def test_run_ends_at_a_row_whose_last_cell_is_filled(self, n):
+        # T = (n-1) x (n-3) top left; the right column gets 1 x (n-1), then 1 x (n-2):
+        # each leaves row n - 3 empty but for its last cell, so the 2 x n piece, as wide
+        # as the row, never fits there; (n-2) x 1 fits but leaves a 1-cell run (a dead end)
+        pieces = tiling._sorted_pieces([R(n - 3, n - 1), R(2, n), R(1, n - 1), R(1, n - 2)])
+        found, nodes = run(n, pieces)
+        assert (found, nodes) == seed_cover_search(n, pieces, corners=True, chains=True)
+        assert nodes == 6  # T, 1 x (n-1), (n-2) x 1, then 1 x (n-2), (n-1) x 1, n x 2
+        assert found.placements == (
+            Placement(R(n - 3, n - 1), 0, 0, True),
+            Placement(R(1, n - 2), n - 1, 0, False),
+            Placement(R(1, n - 1), 0, n - 3, True),
+            Placement(R(2, n), 0, n - 2, True),
+        )
+        assert fronts(found) == [n - 1, (n - 4) * n + 1, n, 2 * n]
+
+    @pytest.mark.parametrize("n", WIDE)
+    def test_filled_cells_in_front_around_one_row(self, n):
+        # n x (n-3) on top, then (n-1) x 2 (n - 1 filled in front), 1 x 2 at the right
+        # wall (n + 1: the rest of its row and the cell below it), n x 1 (n: the last row)
+        pieces = tiling._sorted_pieces([R(n - 3, n), R(2, n - 1), R(1, n), R(1, 2)])
+        found, nodes = run(n, pieces)
+        assert (found, nodes) == seed_cover_search(n, pieces, corners=True, chains=True)
+        assert nodes == 4
+        assert found.placements == (
+            Placement(R(n - 3, n), 0, 0, True),
+            Placement(R(2, n - 1), 0, n - 3, True),
+            Placement(R(1, 2), n - 1, n - 3, False),
+            Placement(R(1, n), 0, n - 1, True),
+        )
+        assert fronts(found) == [(n - 3) * n, n - 1, n + 1, n]
+
+
+class TestPerfectNodes:
+    """``data/perfect_nodes.json``: the kernel nodes of every check that reaches it, n <= 300.
+
+    Every n up to ``exhaustive_through`` not in the record spends no node (the
+    filter excludes it, no witness fits, or the chain rule refutes each set);
+    an entry past it is checked on its own.  The kernel's nodes and their order
+    are fixed, so a change to a scan's cost must leave these totals alone.
+    """
+
+    RECORD = json.loads((Path(__file__).parent / "data" / "perfect_nodes.json").read_text())
+
+    def test_node_totals(self):
+        want = {int(n): nodes for n, nodes in self.RECORD["nodes"].items()}
+        through = self.RECORD["exhaustive_through"]
+        got = {}
+        for n in sorted({*range(3, through + 1), *want}):
+            out = check_perfect(n)
+            if out.nodes_searched:
+                assert out.verdict is PerfectVerdict.EXHAUSTED, n
+                got[n] = out.nodes_searched
+        assert got == want
 
 
 class TestVerifyTiling:
